@@ -20,6 +20,7 @@
 #include "bench/bench_util.h"
 #include "src/apps/delostable/table_db.h"
 #include "src/apps/zelos/zelos.h"
+#include "src/core/apply_profiler.h"
 #include "src/core/cluster.h"
 #include "src/engines/stacks.h"
 
@@ -27,6 +28,29 @@ using namespace delos;
 using namespace delos::bench;
 
 namespace {
+
+// Wraps an application applicator so its apply/postApply frames show up in
+// the profiler under "app.*" — the top of the stack breakdown below.
+class ProfiledApplicator : public IApplicator {
+ public:
+  ProfiledApplicator(IApplicator* inner, ApplyProfiler* profiler)
+      : inner_(inner), profiler_(profiler) {}
+
+  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
+    static const std::string kLabel = "app.apply";
+    ApplyProfiler::Scope scope(profiler_, kLabel);
+    return inner_->Apply(txn, entry, pos);
+  }
+  void PostApply(const LogEntry& entry, LogPos pos) override {
+    static const std::string kLabel = "app.postApply";
+    ApplyProfiler::Scope scope(profiler_, kLabel);
+    inner_->PostApply(entry, pos);
+  }
+
+ private:
+  IApplicator* inner_;
+  ApplyProfiler* profiler_;
+};
 
 void PrintShares(const char* title, ApplyProfiler* profiler,
                  const std::vector<std::string>& stack_order_top_down) {

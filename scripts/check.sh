@@ -60,30 +60,22 @@ if [[ "${1:-}" == "--sim" ]]; then
   exit 0
 fi
 
-if [[ "${1:-}" == "--obs" ]]; then
-  echo "== observability suite (tracing + flight recorder) =="
+# Label suites: build, then run one CTest label (the flag's name). The
+# pass message names the suite as its banner does, up to the parenthesis.
+case "${1:-}" in
+  --obs) SUITE="observability suite (tracing + flight recorder)" ;;
+  --health) SUITE="health-plane suite (time-series metrics + watchdogs + admin endpoint)" ;;
+  --readpath) SUITE="read-path suite (entry cache + prefetcher + tail memoization)" ;;
+  --workload) SUITE="workload-attribution suite (streaming sketches + replay identity)" ;;
+  --digest) SUITE="divergence-detection suite (digest beacons + sabotage conviction sweep)" ;;
+  *) SUITE="" ;;
+esac
+if [[ -n "$SUITE" ]]; then
+  echo "== ${SUITE} =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS"
-  ctest --test-dir build -L obs --output-on-failure -j "$JOBS"
-  echo "check.sh: observability suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--health" ]]; then
-  echo "== health-plane suite (time-series metrics + watchdogs + admin endpoint) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  ctest --test-dir build -L health --output-on-failure -j "$JOBS"
-  echo "check.sh: health-plane suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--readpath" ]]; then
-  echo "== read-path suite (entry cache + prefetcher + tail memoization) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  ctest --test-dir build -L readpath --output-on-failure -j "$JOBS"
-  echo "check.sh: read-path suite passed"
+  ctest --test-dir build -L "${1#--}" --output-on-failure -j "$JOBS"
+  echo "check.sh: ${SUITE%% (*} passed"
   exit 0
 fi
 
@@ -99,24 +91,6 @@ if [[ "${1:-}" == "--verify" ]]; then
   DELOS_VERIFY_SCHEDULES="$SEED_COUNT" \
     ctest --test-dir build -L verify --output-on-failure -j "$JOBS"
   echo "check.sh: verification suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--workload" ]]; then
-  echo "== workload-attribution suite (streaming sketches + replay identity) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  ctest --test-dir build -L workload --output-on-failure -j "$JOBS"
-  echo "check.sh: workload-attribution suite passed"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--digest" ]]; then
-  echo "== divergence-detection suite (digest beacons + sabotage conviction sweep) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  ctest --test-dir build -L digest --output-on-failure -j "$JOBS"
-  echo "check.sh: divergence-detection suite passed"
   exit 0
 fi
 

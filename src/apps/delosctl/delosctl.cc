@@ -1,29 +1,18 @@
 // delosctl: command-line inspector for a running Delos server.
 //
-// Talks HTTP to the admin endpoint (src/net/admin_server.h):
-//
-//   delosctl [--host H] [--port P] status    per-engine health table
-//   delosctl [...] top                       metric rates (time-series ring)
-//   delosctl [...] stack                     engine stack + cursors (JSON)
-//   delosctl [...] metrics                   Prometheus exposition
-//   delosctl [...] healthz                   health JSON; exit 1 if UNHEALTHY
-//   delosctl [...] flight                    flight-recorder tail
-//   delosctl [...] trace <id>                one end-to-end trace
-//   delosctl [...] latency                   per-stage latency attribution
-//   delosctl [...] slow [id]                 slow-trace exemplars (detail with id)
-//   delosctl [...] workload                  per-layer resource accounting + hot spots
-//   delosctl [...] top keys|clients          heavy-hitter tables (workload sketches)
-//   delosctl [...] digest                    digest-beacon counters + sample table
-//   delosctl [...] divergence                earliest-divergence conviction report
-//
-// `--json` switches status/top/metrics/latency/slow/workload to
-// machine-readable JSON (appends ?format=json to the admin path) for
-// scripting and CI.
+// Talks HTTP to the admin endpoint (src/net/admin_server.h). Its commands
+// are the endpoint's report table: report "/top/keys" is `delosctl top
+// keys`, and report "/slow" with its <id> argument is `delosctl slow 7`.
+// `delosctl --help` lists them. `--json` appends ?format=json to the admin
+// path for reports with a JSON form, for scripting and CI. The exit code is
+// 0 on HTTP 200, 1 on any other status (so `healthz` fails while the server
+// is UNHEALTHY), and 2 on a usage error or an unreachable server.
 //
 // `--demo` boots a single-server Zelos cluster in-process, drives a short
 // workload, serves it on an ephemeral loopback port, and runs the requested
 // command against it over real HTTP — a self-contained tour of the admin
 // plane with no cluster to set up.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -46,64 +35,29 @@ namespace {
 void PrintUsage() {
   std::fprintf(stderr,
                "usage: delosctl [--host HOST] [--port PORT] [--demo] [--json] COMMAND [ARG]\n"
+               "\ncommands (* takes --json):\n");
+  for (const AdminReport& report : AdminReports()) {
+    // "/top/keys" + "<id>" -> "top keys <id>"
+    std::string usage = report.path.substr(1) + (report.arg.empty() ? "" : " " + report.arg);
+    std::replace(usage.begin(), usage.end(), '/', ' ');
+    const char* forms = report.text == nullptr ? "(JSON)" : report.json != nullptr ? "*" : "";
+    std::fprintf(stderr, "  %-15s %-6s %s\n", usage.c_str(), forms, report.help.c_str());
+  }
+  std::fprintf(stderr,
                "\n"
-               "commands:\n"
-               "  status       per-engine health table\n"
-               "  top          metric rates from the time-series ring\n"
-               "  top keys     hot keys (workload attribution heavy hitters)\n"
-               "  top clients  top clients (workload attribution heavy hitters)\n"
-               "  stack        engine stack + apply cursors (JSON)\n"
-               "  metrics      Prometheus exposition\n"
-               "  healthz      health report (exit 1 when UNHEALTHY)\n"
-               "  flight       flight-recorder tail\n"
-               "  trace ID     render trace ID\n"
-               "  latency      per-stage latency attribution + critical-path dominance\n"
-               "  slow [ID]    slow-trace exemplar list (or one exemplar's detail)\n"
-               "  workload     per-layer resource accounting + hot-spot verdicts\n"
-               "  digest       digest-beacon counters + per-position sample table\n"
-               "  divergence   earliest-divergence conviction report\n"
-               "\n"
-               "  --demo       run against an in-process single-server Zelos cluster\n"
-               "  --json       machine-readable output "
-               "(status/top/metrics/latency/slow/workload)\n");
+               "  --demo  run against an in-process single-server Zelos cluster\n"
+               "  --json  machine-readable output\n");
 }
 
-// Maps a command (+ optional argument) to an admin-endpoint path; empty on
-// unknown command.
+// The admin path for a command and its optional argument.
 std::string CommandPath(const std::string& command, const std::string& arg) {
-  if (command == "status") return "/status";
-  if (command == "top") {
-    if (arg.empty()) return "/top";
-    if (arg == "keys") return "/top/keys";
-    if (arg == "clients") return "/top/clients";
-    std::fprintf(stderr, "delosctl: top takes no argument, 'keys', or 'clients'\n");
-    return "";
-  }
-  if (command == "workload") return "/workload";
-  if (command == "digest") return "/digest";
-  if (command == "divergence") return "/divergence";
-  if (command == "stack") return "/stack";
-  if (command == "metrics") return "/metrics";
-  if (command == "healthz") return "/healthz";
-  if (command == "flight") return "/flight";
-  if (command == "latency") return "/latency";
-  if (command == "slow") {
-    return arg.empty() ? "/slow" : "/slow/" + arg;
-  }
-  if (command == "trace") {
-    if (arg.empty()) {
-      std::fprintf(stderr, "delosctl: trace needs an id (see /flight for recent ids)\n");
-      return "";
-    }
-    return "/trace/" + arg;
-  }
-  return "";
+  return "/" + command + (arg.empty() ? "" : "/" + arg);
 }
 
 int RunCommand(const std::string& host, uint16_t port, const std::string& command,
                const std::string& arg, bool json) {
   std::string path = CommandPath(command, arg);
-  if (path.empty()) {
+  if (FindAdminReport(path) == nullptr) {
     PrintUsage();
     return 2;
   }
@@ -117,9 +71,6 @@ int RunCommand(const std::string& host, uint16_t port, const std::string& comman
     return 2;
   }
   std::fputs(body.c_str(), stdout);
-  if (command == "healthz") {
-    return status == 200 ? 0 : 1;
-  }
   if (status != 200) {
     std::fprintf(stderr, "delosctl: %s returned HTTP %d\n", path.c_str(), status);
     return 1;
@@ -172,11 +123,14 @@ int RunDemo(const std::string& command, const std::string& arg, bool json) {
     return 2;
   }
   std::fprintf(stderr, "[demo] single-server Zelos cluster on 127.0.0.1:%u\n", admin.port());
-  std::string trace_arg = arg;
-  if (command == "trace" && trace_arg.empty()) {
-    trace_arg = std::to_string(tracer.last_trace_id());
+  // A command that needs a trace id and got none shows the demo's latest.
+  std::string demo_arg = arg;
+  const std::string last_trace = std::to_string(tracer.last_trace_id());
+  if (arg.empty() && FindAdminReport(CommandPath(command, "")) == nullptr &&
+      FindAdminReport(CommandPath(command, last_trace)) != nullptr) {
+    demo_arg = last_trace;
   }
-  const int rc = RunCommand("127.0.0.1", admin.port(), command, trace_arg, json);
+  const int rc = RunCommand("127.0.0.1", admin.port(), command, demo_arg, json);
   admin.Stop();
   cluster.server(0).Stop();
   return rc;

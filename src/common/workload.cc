@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "src/common/errors.h"
+#include "src/common/json.h"
 #include "src/common/metrics.h"
 #include "src/common/serde.h"
 #include "src/common/trace.h"
@@ -24,37 +25,6 @@ void AppendF(std::string* out, const char* fmt, ...) {
   if (n > 0) {
     out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
   }
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendF(&out, "\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -828,53 +798,48 @@ std::string WorkloadAttributor::RenderWorkload() const {
 
 std::string WorkloadAttributor::RenderWorkloadJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"server\":\"" + JsonEscape(options_.server) + "\"";
-  AppendF(&out, ",\"apply_ops\":%llu,\"apply_bytes\":%llu",
-          static_cast<unsigned long long>(apply_ops_total_),
-          static_cast<unsigned long long>(apply_bytes_total_));
-  AppendF(&out, ",\"distinct_keys\":%llu,\"distinct_clients\":%llu",
-          static_cast<unsigned long long>(keys_seen_.Estimate()),
-          static_cast<unsigned long long>(clients_seen_.Estimate()));
-  AppendF(&out, ",\"window_distinct_keys\":%llu,\"window_distinct_clients\":%llu",
-          static_cast<unsigned long long>(window_keys_.Estimate()),
-          static_cast<unsigned long long>(window_clients_.Estimate()));
-  AppendF(&out, ",\"windows_closed\":%llu", static_cast<unsigned long long>(windows_closed_));
-  size_t sketch_bytes = top_keys_.MemoryBytes() + top_clients_.MemoryBytes() +
-                        key_ops_.MemoryBytes() + key_bytes_.MemoryBytes() +
-                        keys_seen_.MemoryBytes() + clients_seen_.MemoryBytes() +
-                        window_keys_.MemoryBytes() + window_clients_.MemoryBytes();
-  AppendF(&out, ",\"sketch_bytes\":%llu,\"sketch_byte_budget\":%llu",
-          static_cast<unsigned long long>(sketch_bytes),
-          static_cast<unsigned long long>(options_.sketch_byte_budget));
-  const auto hot_key = HottestOfLocked(top_keys_, top_keys_.total_weight());
-  if (hot_key.has_value()) {
-    AppendF(&out, ",\"hot_key\":{\"key\":\"%s\",\"ops\":%llu,\"share_pct\":%.1f}",
-            JsonEscape(hot_key->name).c_str(), static_cast<unsigned long long>(hot_key->ops),
-            hot_key->share_pct);
-  } else {
-    out += ",\"hot_key\":null";
-  }
-  const auto hot_client = HottestOfLocked(top_clients_, top_clients_.total_weight());
-  if (hot_client.has_value()) {
-    AppendF(&out, ",\"hot_client\":{\"client\":\"%s\",\"ops\":%llu,\"share_pct\":%.1f}",
-            JsonEscape(hot_client->name).c_str(),
-            static_cast<unsigned long long>(hot_client->ops), hot_client->share_pct);
-  } else {
-    out += ",\"hot_client\":null";
-  }
-  out += ",\"layers\":[";
-  bool first = true;
-  for (const auto& [name, usage] : layers_) {
-    if (!first) {
-      out += ",";
+  const size_t sketch_bytes = top_keys_.MemoryBytes() + top_clients_.MemoryBytes() +
+                              key_ops_.MemoryBytes() + key_bytes_.MemoryBytes() +
+                              keys_seen_.MemoryBytes() + clients_seen_.MemoryBytes() +
+                              window_keys_.MemoryBytes() + window_clients_.MemoryBytes();
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(options_.server)
+      .Key("apply_ops").Int(apply_ops_total_.load())
+      .Key("apply_bytes").Int(apply_bytes_total_.load())
+      .Key("distinct_keys").Int(keys_seen_.Estimate())
+      .Key("distinct_clients").Int(clients_seen_.Estimate())
+      .Key("window_distinct_keys").Int(window_keys_.Estimate())
+      .Key("window_distinct_clients").Int(window_clients_.Estimate())
+      .Key("windows_closed").Int(windows_closed_)
+      .Key("sketch_bytes").Int(sketch_bytes)
+      .Key("sketch_byte_budget").Int(options_.sketch_byte_budget);
+  // The hottest key and client, or null below the hot threshold.
+  const auto hot_spot = [&](const char* field, const char* name_key,
+                            const std::optional<HotSpot>& hot) {
+    json.Key(field);
+    if (!hot.has_value()) {
+      json.Null();
+      return;
     }
-    first = false;
-    AppendF(&out, "{\"layer\":\"%s\",\"ops\":%llu,\"bytes\":%llu}", JsonEscape(name).c_str(),
-            static_cast<unsigned long long>(usage.ops),
-            static_cast<unsigned long long>(usage.bytes));
+    json.BeginObject()
+        .Key(name_key).String(hot->name)
+        .Key("ops").Int(hot->ops)
+        .Key("share_pct").Fixed(hot->share_pct, 1)
+        .EndObject();
+  };
+  hot_spot("hot_key", "key", HottestOfLocked(top_keys_, top_keys_.total_weight()));
+  hot_spot("hot_client", "client", HottestOfLocked(top_clients_, top_clients_.total_weight()));
+  json.Key("layers").BeginArray();
+  for (const auto& [name, usage] : layers_) {
+    json.BeginObject()
+        .Key("layer").String(name)
+        .Key("ops").Int(usage.ops)
+        .Key("bytes").Int(usage.bytes)
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  json.EndArray().EndObject();
+  return json.Take();
 }
 
 std::string WorkloadAttributor::RenderTopKeys() const {
@@ -900,22 +865,24 @@ std::string WorkloadAttributor::RenderTopKeys() const {
 std::string WorkloadAttributor::RenderTopKeysJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t total = top_keys_.total_weight();
-  std::string out = "{\"server\":\"" + JsonEscape(options_.server) + "\"";
-  AppendF(&out, ",\"total_ops\":%llu,\"keys\":[", static_cast<unsigned long long>(total));
-  const auto top = TopKeysLocked();
-  for (size_t i = 0; i < top.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(options_.server)
+      .Key("total_ops").Int(total)
+      .Key("keys").BeginArray();
+  for (const auto& entry : TopKeysLocked()) {
     const double share =
-        total == 0 ? 0.0 : 100.0 * static_cast<double>(top[i].count) / total;
-    AppendF(&out, "{\"key\":\"%s\",\"ops\":%llu,\"err\":%llu,\"bytes\":%llu,\"share_pct\":%.1f}",
-            JsonEscape(top[i].key).c_str(), static_cast<unsigned long long>(top[i].count),
-            static_cast<unsigned long long>(top[i].error),
-            static_cast<unsigned long long>(key_bytes_.Estimate(top[i].key)), share);
+        total == 0 ? 0.0 : 100.0 * static_cast<double>(entry.count) / total;
+    json.BeginObject()
+        .Key("key").String(entry.key)
+        .Key("ops").Int(entry.count)
+        .Key("err").Int(entry.error)
+        .Key("bytes").Int(key_bytes_.Estimate(entry.key))
+        .Key("share_pct").Fixed(share, 1)
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  json.EndArray().EndObject();
+  return json.Take();
 }
 
 std::string WorkloadAttributor::RenderTopClients() const {
@@ -938,21 +905,23 @@ std::string WorkloadAttributor::RenderTopClients() const {
 std::string WorkloadAttributor::RenderTopClientsJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t total = top_clients_.total_weight();
-  std::string out = "{\"server\":\"" + JsonEscape(options_.server) + "\"";
-  AppendF(&out, ",\"total_ops\":%llu,\"clients\":[", static_cast<unsigned long long>(total));
-  const auto top = TopClientsLocked();
-  for (size_t i = 0; i < top.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(options_.server)
+      .Key("total_ops").Int(total)
+      .Key("clients").BeginArray();
+  for (const auto& entry : TopClientsLocked()) {
     const double share =
-        total == 0 ? 0.0 : 100.0 * static_cast<double>(top[i].count) / total;
-    AppendF(&out, "{\"client\":\"%s\",\"ops\":%llu,\"err\":%llu,\"share_pct\":%.1f}",
-            JsonEscape(top[i].key).c_str(), static_cast<unsigned long long>(top[i].count),
-            static_cast<unsigned long long>(top[i].error), share);
+        total == 0 ? 0.0 : 100.0 * static_cast<double>(entry.count) / total;
+    json.BeginObject()
+        .Key("client").String(entry.key)
+        .Key("ops").Int(entry.count)
+        .Key("err").Int(entry.error)
+        .Key("share_pct").Fixed(share, 1)
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  json.EndArray().EndObject();
+  return json.Take();
 }
 
 }  // namespace delos

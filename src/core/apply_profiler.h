@@ -155,29 +155,6 @@ class ApplyProfiler {
 
 namespace delos {
 
-// Wraps an application applicator so its apply/postApply frames show up in
-// the profiler under "app.*" — the top of the Figure 7 stack breakdown.
-class ProfiledApplicator : public IApplicator {
- public:
-  ProfiledApplicator(IApplicator* inner, ApplyProfiler* profiler)
-      : inner_(inner), profiler_(profiler) {}
-
-  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override {
-    static const std::string kLabel = "app.apply";
-    ApplyProfiler::Scope scope(profiler_, kLabel);
-    return inner_->Apply(txn, entry, pos);
-  }
-  void PostApply(const LogEntry& entry, LogPos pos) override {
-    static const std::string kLabel = "app.postApply";
-    ApplyProfiler::Scope scope(profiler_, kLabel);
-    inner_->PostApply(entry, pos);
-  }
-
- private:
-  IApplicator* inner_;
-  ApplyProfiler* profiler_;
-};
-
 // Wraps an application applicator so a traced entry gets an "app.apply"
 // span on every replica — the top of the up-path in a proposal's trace.
 class TracedApplicator : public IApplicator {

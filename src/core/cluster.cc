@@ -146,6 +146,12 @@ Cluster::~Cluster() {
       server->Stop();
     }
   }
+  // Servers first (they drain their appends), then the network's delivery
+  // thread, and only then the ensemble whose retransmit callbacks that
+  // thread may still be running. Member order would free the ensemble first.
+  servers_.clear();
+  network_.reset();
+  ensemble_.reset();
 }
 
 std::string Cluster::CheckpointPath(int index) const {

@@ -10,41 +10,23 @@
 #include <cstring>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/engines/digest_engine.h"
 
 namespace delos {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+constexpr char kTextType[] = "text/plain; charset=utf-8";
 
 AdminResponse NotFound(const std::string& path) {
-  return AdminResponse{404, "text/plain; charset=utf-8", "no route: " + path + "\n"};
+  return AdminResponse{404, kTextType, "no route: " + path + "\n"};
+}
+
+AdminResponse Text(std::string body) { return AdminResponse{200, kTextType, std::move(body)}; }
+
+AdminResponse Json(const std::string& body) {
+  return AdminResponse{200, "application/json", body + "\n"};
 }
 
 const char* StatusText(int status) {
@@ -66,12 +48,6 @@ const char* StatusText(int status) {
   }
 }
 
-}  // namespace
-
-AdminEndpoint::AdminEndpoint(ClusterServer* server) : server_(server) {}
-
-namespace {
-
 // Parses "/slow/<id>"-style suffixes. Returns false unless the whole suffix
 // is a decimal trace id.
 bool ParseTraceId(const std::string& id_str, uint64_t* id) {
@@ -80,7 +56,202 @@ bool ParseTraceId(const std::string& id_str, uint64_t* id) {
   return end != id_str.c_str() && *end == '\0';
 }
 
+// The optional planes: each returns its 404 body while the plane is off.
+const char* NoTracing(ClusterServer& server) {
+  return server.tracer() == nullptr ? "tracing is not enabled" : nullptr;
+}
+const char* NoLatency(ClusterServer& server) {
+  return server.latency() == nullptr ? "latency attribution is not enabled" : nullptr;
+}
+const char* NoWorkload(ClusterServer& server) {
+  return server.workload() == nullptr ? "workload attribution is not enabled" : nullptr;
+}
+DigestEngine* Digest(ClusterServer& server) {
+  return dynamic_cast<DigestEngine*>(server.FindEngine("digest"));
+}
+const char* NoDigest(ClusterServer& server) {
+  return Digest(server) == nullptr ? "digest beacons are not enabled" : nullptr;
+}
+
+AdminResponse Healthz(ClusterServer& server, uint64_t) {
+  // One watchdog pass per probe: the verdict is as fresh as the request,
+  // whether or not the background cadence thread is running.
+  const std::vector<HealthReport> reports = server.CollectHealth();
+  AdminResponse response = Json(RenderHealthJson(reports));
+  if (AggregateHealth(reports) == HealthState::kUnhealthy) {
+    response.status = 503;
+  }
+  return response;
+}
+
+AdminResponse StatusTable(ClusterServer& server, uint64_t) {
+  const std::vector<HealthReport> reports = server.CollectHealth();
+  std::ostringstream out;
+  out << "server " << server.id() << ": " << HealthStateName(AggregateHealth(reports)) << "\n";
+  out << "  applied=" << server.base()->applied_position()
+      << " durable=" << server.base()->durable_position()
+      << " records=" << server.base()->apply_records()
+      << " batches=" << server.base()->apply_batches() << "\n";
+  char line[256];
+  std::snprintf(line, sizeof(line), "  %-18s %-10s %s\n", "component", "state", "reason");
+  out << line;
+  for (const HealthReport& report : reports) {
+    std::snprintf(line, sizeof(line), "  %-18s %-10s %s\n", report.component.c_str(),
+                  HealthStateName(report.state),
+                  report.reason.empty() ? "-" : report.reason.c_str());
+    out << line;
+  }
+  return Text(out.str());
+}
+
+AdminResponse StatusJson(ClusterServer& server, uint64_t) {
+  const std::vector<HealthReport> reports = server.CollectHealth();
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(server.id())
+      .Key("aggregate").String(HealthStateName(AggregateHealth(reports)))
+      .Key("applied_position").Int(server.base()->applied_position())
+      .Key("durable_position").Int(server.base()->durable_position())
+      .Key("apply_records").Int(server.base()->apply_records())
+      .Key("apply_batches").Int(server.base()->apply_batches())
+      .Key("components").Raw(RenderHealthJson(reports))
+      .EndObject();
+  return Json(json.Take());
+}
+
+AdminResponse StackJson(ClusterServer& server, uint64_t) {
+  BaseEngine* base = server.base();
+  JsonWriter json;
+  json.BeginObject()
+      .Key("server").String(server.id())
+      .Key("applied_position").Int(base->applied_position())
+      .Key("durable_position").Int(base->durable_position())
+      .Key("apply_records").Int(base->apply_records())
+      .Key("apply_batches").Int(base->apply_batches())
+      .Key("apply_busy_micros").Int(base->apply_busy_micros())
+      .Key("stack").BeginArray();
+  const auto layer = [&](const std::string& name, bool enabled, const HealthReport& health) {
+    json.BeginObject()
+        .Key("name").String(name)
+        .Key("enabled").Bool(enabled)
+        .Key("health").String(HealthStateName(health.state))
+        .Key("reason").String(health.reason)
+        .EndObject();
+  };
+  // Bottom-up, base first — the order entries flow on the apply path.
+  layer("base", true, base->HealthCheck());
+  for (StackableEngine* engine : server.engines()) {
+    layer(engine->name(), engine->enabled(), engine->HealthCheck());
+  }
+  json.EndArray().EndObject();
+  return Json(json.Take());
+}
+
+AdminResponse SlowDetail(ClusterServer& server, uint64_t id, bool json) {
+  LatencyAttributor* latency = server.latency();
+  const std::optional<std::string> body =
+      json ? latency->RenderSlowDetailJson(id) : latency->RenderSlowDetail(id);
+  if (!body.has_value()) {
+    return AdminResponse{404, kTextType, "no slow trace " + std::to_string(id) + "\n"};
+  }
+  return json ? Json(*body) : Text(*body);
+}
+
 }  // namespace
+
+const std::vector<AdminReport>& AdminReports() {
+  using S = ClusterServer;
+  static const std::vector<AdminReport> reports = {
+      {.path = "/status",
+       .help = "per-engine health table",
+       .text = StatusTable,
+       .json = StatusJson},
+      {.path = "/top",
+       .help = "metric rates from the time-series ring",
+       .text = [](S& s, uint64_t) { return Text(s.series()->RenderTable(10)); },
+       .json = [](S& s, uint64_t) { return Json(s.series()->RenderJson(10)); }},
+      {.path = "/top/keys",
+       .help = "hot keys (workload attribution heavy hitters)",
+       .absent = NoWorkload,
+       .text = [](S& s, uint64_t) { return Text(s.workload()->RenderTopKeys()); },
+       .json = [](S& s, uint64_t) { return Json(s.workload()->RenderTopKeysJson()); }},
+      {.path = "/top/clients",
+       .help = "top clients (workload attribution heavy hitters)",
+       .absent = NoWorkload,
+       .text = [](S& s, uint64_t) { return Text(s.workload()->RenderTopClients()); },
+       .json = [](S& s, uint64_t) { return Json(s.workload()->RenderTopClientsJson()); }},
+      {.path = "/series",
+       .help = "the whole time-series ring",
+       .json = [](S& s, uint64_t) { return Json(s.series()->RenderJson()); }},
+      {.path = "/stack", .help = "engine stack + apply cursors", .json = StackJson},
+      {.path = "/metrics",
+       .help = "Prometheus exposition",
+       .text =
+           [](S& s, uint64_t) {
+             return AdminResponse{200, "text/plain; version=0.0.4; charset=utf-8",
+                                  s.metrics()->RenderPrometheus()};
+           },
+       .json = [](S& s, uint64_t) { return Json(s.metrics()->RenderJson()); }},
+      {.path = "/healthz", .help = "health report (exit 1 when UNHEALTHY)", .json = Healthz},
+      {.path = "/flight",
+       .help = "flight-recorder tail",
+       .text = [](S& s, uint64_t) { return Text(s.flight_recorder()->Dump()); }},
+      {.path = "/trace",
+       .arg = "<id>",
+       .help = "one end-to-end trace",
+       .absent = NoTracing,
+       .text = [](S& s, uint64_t id) { return Text(s.tracer()->Render(id)); }},
+      {.path = "/latency",
+       .help = "per-stage latency attribution + critical-path dominance",
+       .absent = NoLatency,
+       .text = [](S& s, uint64_t) { return Text(s.latency()->RenderLatency()); },
+       .json = [](S& s, uint64_t) { return Json(s.latency()->RenderLatencyJson()); }},
+      {.path = "/slow",
+       .help = "slow-trace exemplar list",
+       .absent = NoLatency,
+       .text = [](S& s, uint64_t) { return Text(s.latency()->RenderSlowList()); },
+       .json = [](S& s, uint64_t) { return Json(s.latency()->RenderSlowListJson()); }},
+      {.path = "/slow",
+       .arg = "<id>",
+       .help = "one slow-trace exemplar's detail",
+       .absent = NoLatency,
+       .text = [](S& s, uint64_t id) { return SlowDetail(s, id, /*json=*/false); },
+       .json = [](S& s, uint64_t id) { return SlowDetail(s, id, /*json=*/true); }},
+      {.path = "/workload",
+       .help = "per-layer resource accounting + hot-spot verdicts",
+       .absent = NoWorkload,
+       .text = [](S& s, uint64_t) { return Text(s.workload()->RenderWorkload()); },
+       .json = [](S& s, uint64_t) { return Json(s.workload()->RenderWorkloadJson()); }},
+      {.path = "/digest",
+       .help = "digest-beacon counters + per-position sample table",
+       .absent = NoDigest,
+       .text = [](S& s, uint64_t) { return Text(Digest(s)->Render()); },
+       .json = [](S& s, uint64_t) { return Json(Digest(s)->RenderJson()); }},
+      {.path = "/divergence",
+       .help = "earliest-divergence conviction report",
+       .absent = NoDigest,
+       .text = [](S& s, uint64_t) { return Text(Digest(s)->tracker()->Render()); },
+       .json = [](S& s, uint64_t) { return Json(Digest(s)->tracker()->RenderJson()); }},
+  };
+  return reports;
+}
+
+const AdminReport* FindAdminReport(const std::string& path, uint64_t* id) {
+  uint64_t parsed = 0;
+  for (const AdminReport& report : AdminReports()) {
+    if (report.arg.empty() ? path == report.path
+                           : path.rfind(report.path + "/", 0) == 0 &&
+                                 ParseTraceId(path.substr(report.path.size() + 1), &parsed)) {
+      if (id != nullptr) {
+        *id = parsed;
+      }
+      return &report;
+    }
+  }
+  return nullptr;
+}
+
+AdminEndpoint::AdminEndpoint(ClusterServer* server) : server_(server) {}
 
 AdminResponse AdminEndpoint::Handle(const std::string& raw_path) const {
   std::string path = raw_path;
@@ -92,269 +263,18 @@ AdminResponse AdminEndpoint::Handle(const std::string& raw_path) const {
     // &-separated parameters; the only one recognized today.
     json = ("&" + query_string + "&").find("&format=json&") != std::string::npos;
   }
-  if (path == "/metrics") {
-    return Metrics(json);
+  uint64_t id = 0;
+  const AdminReport* report = FindAdminReport(path == "/" ? "/status" : path, &id);
+  if (report == nullptr) {
+    return NotFound(path);
   }
-  if (path == "/healthz") {
-    return Healthz();
-  }
-  if (path == "/status" || path == "/") {
-    return Status(json);
-  }
-  if (path == "/stack") {
-    return Stack();
-  }
-  if (path == "/top") {
-    return Top(json);
-  }
-  if (path == "/series") {
-    return Series();
-  }
-  if (path == "/flight") {
-    return Flight();
-  }
-  if (path == "/latency") {
-    return Latency(json);
-  }
-  if (path == "/slow") {
-    return Slow(json);
-  }
-  if (path == "/workload") {
-    return Workload(json);
-  }
-  if (path == "/top/keys") {
-    return TopKeys(json);
-  }
-  if (path == "/digest") {
-    return Digest(json);
-  }
-  if (path == "/divergence") {
-    return Divergence(json);
-  }
-  if (path == "/top/clients") {
-    return TopClients(json);
-  }
-  constexpr char kSlowPrefix[] = "/slow/";
-  if (path.rfind(kSlowPrefix, 0) == 0) {
-    uint64_t id = 0;
-    if (!ParseTraceId(path.substr(sizeof(kSlowPrefix) - 1), &id)) {
-      return NotFound(path);
+  if (report->absent != nullptr) {
+    if (const char* absent = report->absent(*server_)) {
+      return AdminResponse{404, kTextType, std::string(absent) + "\n"};
     }
-    return SlowDetail(id, json);
   }
-  constexpr char kTracePrefix[] = "/trace/";
-  if (path.rfind(kTracePrefix, 0) == 0) {
-    uint64_t id = 0;
-    if (!ParseTraceId(path.substr(sizeof(kTracePrefix) - 1), &id)) {
-      return NotFound(path);
-    }
-    return Trace(id);
-  }
-  return NotFound(path);
-}
-
-AdminResponse AdminEndpoint::Metrics(bool json) const {
-  if (json) {
-    return AdminResponse{200, "application/json", server_->metrics()->RenderJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; version=0.0.4; charset=utf-8",
-                       server_->metrics()->RenderPrometheus()};
-}
-
-AdminResponse AdminEndpoint::Healthz() const {
-  // One watchdog pass per probe: the verdict is as fresh as the request,
-  // whether or not the background cadence thread is running.
-  const std::vector<HealthReport> reports = server_->CollectHealth();
-  const HealthState aggregate = AggregateHealth(reports);
-  AdminResponse response;
-  response.status = aggregate == HealthState::kUnhealthy ? 503 : 200;
-  response.content_type = "application/json";
-  response.body = RenderHealthJson(reports) + "\n";
-  return response;
-}
-
-AdminResponse AdminEndpoint::Status(bool json) const {
-  const std::vector<HealthReport> reports = server_->CollectHealth();
-  if (json) {
-    std::ostringstream out;
-    out << "{\"server\":\"" << JsonEscape(server_->id()) << "\",\"aggregate\":\""
-        << HealthStateName(AggregateHealth(reports)) << "\",\"applied_position\":"
-        << server_->base()->applied_position() << ",\"durable_position\":"
-        << server_->base()->durable_position() << ",\"apply_records\":"
-        << server_->base()->apply_records() << ",\"apply_batches\":"
-        << server_->base()->apply_batches() << ",\"components\":" << RenderHealthJson(reports)
-        << "}\n";
-    return AdminResponse{200, "application/json", out.str()};
-  }
-  std::ostringstream out;
-  out << "server " << server_->id() << ": " << HealthStateName(AggregateHealth(reports))
-      << "\n";
-  out << "  applied=" << server_->base()->applied_position()
-      << " durable=" << server_->base()->durable_position()
-      << " records=" << server_->base()->apply_records()
-      << " batches=" << server_->base()->apply_batches() << "\n";
-  char line[256];
-  std::snprintf(line, sizeof(line), "  %-18s %-10s %s\n", "component", "state", "reason");
-  out << line;
-  for (const HealthReport& report : reports) {
-    std::snprintf(line, sizeof(line), "  %-18s %-10s %s\n", report.component.c_str(),
-                  HealthStateName(report.state),
-                  report.reason.empty() ? "-" : report.reason.c_str());
-    out << line;
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", out.str()};
-}
-
-AdminResponse AdminEndpoint::Stack() const {
-  std::ostringstream out;
-  BaseEngine* base = server_->base();
-  out << "{\"server\":\"" << JsonEscape(server_->id()) << "\""
-      << ",\"applied_position\":" << base->applied_position()
-      << ",\"durable_position\":" << base->durable_position()
-      << ",\"apply_records\":" << base->apply_records()
-      << ",\"apply_batches\":" << base->apply_batches()
-      << ",\"apply_busy_micros\":" << base->apply_busy_micros() << ",\"stack\":[";
-  // Bottom-up, base first — the order entries flow on the apply path.
-  {
-    const HealthReport health = base->HealthCheck();
-    out << "{\"name\":\"base\",\"enabled\":true,\"health\":\""
-        << HealthStateName(health.state) << "\",\"reason\":\"" << JsonEscape(health.reason)
-        << "\"}";
-  }
-  for (StackableEngine* engine : server_->engines()) {
-    const HealthReport health = engine->HealthCheck();
-    out << ",{\"name\":\"" << JsonEscape(engine->name()) << "\",\"enabled\":"
-        << (engine->enabled() ? "true" : "false") << ",\"health\":\""
-        << HealthStateName(health.state) << "\",\"reason\":\"" << JsonEscape(health.reason)
-        << "\"}";
-  }
-  out << "]}\n";
-  return AdminResponse{200, "application/json", out.str()};
-}
-
-AdminResponse AdminEndpoint::Top(bool json) const {
-  if (json) {
-    return AdminResponse{200, "application/json", server_->series()->RenderJson(10) + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", server_->series()->RenderTable(10)};
-}
-
-AdminResponse AdminEndpoint::Series() const {
-  return AdminResponse{200, "application/json", server_->series()->RenderJson() + "\n"};
-}
-
-AdminResponse AdminEndpoint::Flight() const {
-  return AdminResponse{200, "text/plain; charset=utf-8", server_->flight_recorder()->Dump()};
-}
-
-AdminResponse AdminEndpoint::Trace(uint64_t trace_id) const {
-  Tracer* tracer = server_->tracer();
-  if (tracer == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8", "tracing is not enabled\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", tracer->Render(trace_id)};
-}
-
-AdminResponse AdminEndpoint::Latency(bool json) const {
-  LatencyAttributor* latency = server_->latency();
-  if (latency == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "latency attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", latency->RenderLatencyJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", latency->RenderLatency()};
-}
-
-AdminResponse AdminEndpoint::Slow(bool json) const {
-  LatencyAttributor* latency = server_->latency();
-  if (latency == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "latency attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", latency->RenderSlowListJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", latency->RenderSlowList()};
-}
-
-AdminResponse AdminEndpoint::SlowDetail(uint64_t trace_id, bool json) const {
-  LatencyAttributor* latency = server_->latency();
-  if (latency == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "latency attribution is not enabled\n"};
-  }
-  const std::optional<std::string> body =
-      json ? latency->RenderSlowDetailJson(trace_id) : latency->RenderSlowDetail(trace_id);
-  if (!body.has_value()) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "no slow trace " + std::to_string(trace_id) + "\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", *body + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", *body};
-}
-
-AdminResponse AdminEndpoint::Workload(bool json) const {
-  WorkloadAttributor* workload = server_->workload();
-  if (workload == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "workload attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", workload->RenderWorkloadJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", workload->RenderWorkload()};
-}
-
-AdminResponse AdminEndpoint::TopKeys(bool json) const {
-  WorkloadAttributor* workload = server_->workload();
-  if (workload == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "workload attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", workload->RenderTopKeysJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", workload->RenderTopKeys()};
-}
-
-AdminResponse AdminEndpoint::Digest(bool json) const {
-  auto* digest = dynamic_cast<DigestEngine*>(server_->FindEngine("digest"));
-  if (digest == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "digest beacons are not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", digest->RenderJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", digest->Render()};
-}
-
-AdminResponse AdminEndpoint::Divergence(bool json) const {
-  auto* digest = dynamic_cast<DigestEngine*>(server_->FindEngine("digest"));
-  if (digest == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "digest beacons are not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", digest->tracker()->RenderJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", digest->tracker()->Render()};
-}
-
-AdminResponse AdminEndpoint::TopClients(bool json) const {
-  WorkloadAttributor* workload = server_->workload();
-  if (workload == nullptr) {
-    return AdminResponse{404, "text/plain; charset=utf-8",
-                         "workload attribution is not enabled\n"};
-  }
-  if (json) {
-    return AdminResponse{200, "application/json", workload->RenderTopClientsJson() + "\n"};
-  }
-  return AdminResponse{200, "text/plain; charset=utf-8", workload->RenderTopClients()};
+  const bool use_json = report->text == nullptr || (json && report->json != nullptr);
+  return (use_json ? report->json : report->text)(*server_, id);
 }
 
 AdminServer::AdminServer(AdminEndpoint endpoint, Options options)

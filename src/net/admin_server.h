@@ -2,23 +2,13 @@
 //
 // Two layers, deliberately separable:
 //
-//  * AdminEndpoint — route table mapping paths to in-process handlers over
-//    one ClusterServer: /metrics (Prometheus exposition), /healthz (one
-//    watchdog pass; non-200 when UNHEALTHY), /status (human-readable
-//    component table), /stack (JSON engine-stack + cursor introspection),
-//    /top (per-metric rate table from the time-series ring), /series
-//    (time-series JSON), /flight (recorder tail), /trace/<id>, /latency
-//    (per-stage latency attribution + critical-path dominance), /slow
-//    (slow-trace exemplar list; /slow/<trace-id> detail), /workload
-//    (per-layer resource accounting + hot-spot verdicts), /top/keys and
-//    /top/clients (heavy-hitter tables from the workload sketches),
-//    /digest (digest-beacon counters + sample table) and /divergence (the
-//    earliest-divergence conviction report).
-//    Appending ?format=json to /metrics, /status, /top, /latency, /slow,
-//    /workload, /top/keys, /top/clients, /digest, or /divergence switches
-//    the body to machine-readable JSON (the `delosctl --json` transport).
-//    Handle() is a plain function call, so unit tests and the simulator
-//    exercise every route with no sockets.
+//  * AdminEndpoint — serves the report table (AdminReports()) over one
+//    ClusterServer: health, metrics, the time-series ring, the engine
+//    stack, traces, latency, workload and digest reports. Each report has
+//    a text form, a JSON form, or both; appending ?format=json picks the
+//    JSON form (the `delosctl --json` transport). `delosctl --help` lists
+//    the table. Handle() is a plain function call, so unit tests and the
+//    simulator exercise every route with no sockets.
 //
 //  * AdminServer — a minimal HTTP/1.1 server that binds a loopback socket
 //    and serves an AdminEndpoint. One thread, serial request handling
@@ -31,9 +21,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/cluster.h"
 
@@ -45,35 +35,41 @@ struct AdminResponse {
   std::string body;
 };
 
+// One report on the admin plane. AdminEndpoint serves it at `path`;
+// delosctl derives its verb ("/top/keys" is `delosctl top keys`), its usage
+// line and its --json support from the same entry.
+struct AdminReport {
+  // Renders the response; `id` is the parsed <id> argument (0 without one).
+  using Render = std::function<AdminResponse(ClusterServer& server, uint64_t id)>;
+
+  std::string path;      // "/top/keys"
+  std::string arg = "";  // "" or "<id>": then served only at path + "/<trace id>"
+  std::string help;      // one line of delosctl usage
+  // The 404 body while the report's plane is off, nullptr while it is on.
+  // Null for reports over planes every server has.
+  const char* (*absent)(ClusterServer& server) = nullptr;
+  Render text = nullptr;  // null: the report is JSON only
+  Render json = nullptr;  // null: the report is text only; else served for ?format=json
+};
+
+// Every admin report, in usage order.
+const std::vector<AdminReport>& AdminReports();
+
+// The report that serves `path` (no query string), with its <id> argument
+// parsed into `*id` when `id` is non-null; nullptr when no report does.
+const AdminReport* FindAdminReport(const std::string& path, uint64_t* id = nullptr);
+
 class AdminEndpoint {
  public:
-  // Routes serve `server`'s metrics/health/stack; the server must outlive
-  // the endpoint. `tracer` may be null (then /trace returns 404).
+  // Routes serve `server`'s reports; the server must outlive the endpoint.
   explicit AdminEndpoint(ClusterServer* server);
 
-  // Dispatches one request path ("/metrics", "/trace/7", ...). The only
-  // recognized query parameter is format=json; everything else in a query
-  // string is ignored. Unknown paths return 404.
+  // Dispatches one request path ("/metrics", "/trace/7", ...); "/" is an
+  // alias of "/status". The only recognized query parameter is format=json;
+  // everything else in a query string is ignored. Unknown paths return 404.
   AdminResponse Handle(const std::string& path) const;
 
  private:
-  AdminResponse Metrics(bool json) const;
-  AdminResponse Healthz() const;
-  AdminResponse Status(bool json) const;
-  AdminResponse Stack() const;
-  AdminResponse Top(bool json) const;
-  AdminResponse Series() const;
-  AdminResponse Flight() const;
-  AdminResponse Trace(uint64_t trace_id) const;
-  AdminResponse Latency(bool json) const;
-  AdminResponse Slow(bool json) const;
-  AdminResponse SlowDetail(uint64_t trace_id, bool json) const;
-  AdminResponse Workload(bool json) const;
-  AdminResponse TopKeys(bool json) const;
-  AdminResponse TopClients(bool json) const;
-  AdminResponse Digest(bool json) const;
-  AdminResponse Divergence(bool json) const;
-
   ClusterServer* server_;
 };
 

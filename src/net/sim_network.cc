@@ -26,6 +26,18 @@ SimNetwork::~SimNetwork() {
   }
   cv_.notify_all();
   delivery_thread_.join();
+  // Undelivered events hold their callers' promises. Break them while every
+  // member is still alive: a continuation may call back in (a sequencer
+  // retransmitting a lost store), and ScheduleLocked drops what it is handed
+  // after shutdown.
+  std::vector<std::function<void()>> undelivered;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (; !events_.empty(); events_.pop()) {
+      undelivered.push_back(std::move(const_cast<Event&>(events_.top()).action));
+    }
+  }
+  undelivered.clear();  // outside the lock: continuations re-enter Call
 }
 
 void SimNetwork::RegisterHandler(const NodeId& node, Handler handler) {
@@ -200,6 +212,9 @@ Future<std::string> SimNetwork::Call(const NodeId& from, const NodeId& to,
 }
 
 void SimNetwork::ScheduleLocked(int64_t delay_micros, std::function<void()> action) {
+  if (shutdown_) {
+    return;  // The delivery thread is gone; the caller's promise breaks.
+  }
   events_.push(Event{RealClock::Instance()->NowMicros() + delay_micros, next_sequence_++,
                      std::move(action)});
   cv_.notify_all();

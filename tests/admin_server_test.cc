@@ -7,16 +7,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/apps/zelos/zelos.h"
 #include "src/common/trace.h"
 #include "src/core/cluster.h"
 #include "src/engines/stacks.h"
 #include "src/net/admin_server.h"
+#include "src/sharedlog/inmemory_log.h"
 
 namespace delos {
 namespace {
@@ -226,6 +229,233 @@ TEST_F(AdminServerTest, QueryStringsAreIgnored) {
   AdminEndpoint endpoint(&server());
   EXPECT_EQ(endpoint.Handle("/metrics?scrape=1").status, 200);
   EXPECT_EQ(endpoint.Handle("/healthz?verbose=true").status, 200);
+}
+
+// A strict recursive-descent check that `text` is exactly one JSON value
+// (RFC 8259): no raw control bytes in strings, only the standard escapes.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view text) : text_(text) {}
+
+  bool WellFormed() {
+    SkipSpace();
+    if (!Value()) {
+      return false;
+    }
+    SkipSpace();
+    return at_ == text_.size();
+  }
+
+ private:
+  bool Value() {
+    if (at_ >= text_.size()) {
+      return false;
+    }
+    switch (text_[at_]) {
+      case '{':
+        return Container('}', /*object=*/true);
+      case '[':
+        return Container(']', /*object=*/false);
+      case '"':
+        return String();
+      case 't':
+        return Literal("true");
+      case 'f':
+        return Literal("false");
+      case 'n':
+        return Literal("null");
+      default:
+        return Number();
+    }
+  }
+
+  bool Container(char close, bool object) {
+    ++at_;
+    SkipSpace();
+    if (Peek(close)) {
+      ++at_;
+      return true;
+    }
+    while (true) {
+      SkipSpace();
+      if (object) {
+        if (!String()) {
+          return false;
+        }
+        SkipSpace();
+        if (!Peek(':')) {
+          return false;
+        }
+        ++at_;
+        SkipSpace();
+      }
+      if (!Value()) {
+        return false;
+      }
+      SkipSpace();
+      if (Peek(close)) {
+        ++at_;
+        return true;
+      }
+      if (!Peek(',')) {
+        return false;
+      }
+      ++at_;
+    }
+  }
+
+  bool String() {
+    if (!Peek('"')) {
+      return false;
+    }
+    for (++at_; at_ < text_.size(); ++at_) {
+      const unsigned char c = static_cast<unsigned char>(text_[at_]);
+      if (c == '"') {
+        ++at_;
+        return true;
+      }
+      if (c < 0x20) {
+        return false;
+      }
+      if (c != '\\') {
+        continue;
+      }
+      if (++at_ >= text_.size()) {
+        return false;
+      }
+      if (text_[at_] == 'u') {
+        for (int i = 0; i < 4; ++i) {
+          if (++at_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(text_[at_]))) {
+            return false;
+          }
+        }
+      } else if (std::string_view("\"\\/bfnrt").find(text_[at_]) == std::string_view::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+
+  bool Number() {
+    if (Peek('-')) {
+      ++at_;
+    }
+    if (Peek('0')) {
+      ++at_;
+    } else if (!Digits()) {
+      return false;
+    }
+    if (Peek('.')) {
+      ++at_;
+      if (!Digits()) {
+        return false;
+      }
+    }
+    if (Peek('e') || Peek('E')) {
+      ++at_;
+      if (Peek('+') || Peek('-')) {
+        ++at_;
+      }
+      return Digits();
+    }
+    return true;
+  }
+
+  bool Digits() {
+    const size_t start = at_;
+    while (at_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[at_]))) {
+      ++at_;
+    }
+    return at_ > start;
+  }
+
+  bool Literal(std::string_view word) {
+    if (text_.substr(at_, word.size()) != word) {
+      return false;
+    }
+    at_ += word.size();
+    return true;
+  }
+
+  bool Peek(char c) const { return at_ < text_.size() && text_[at_] == c; }
+
+  void SkipSpace() {
+    while (at_ < text_.size() && std::string_view(" \t\r\n").find(text_[at_]) !=
+                                     std::string_view::npos) {
+      ++at_;
+    }
+  }
+
+  std::string_view text_;
+  size_t at_ = 0;
+};
+
+TEST(JsonCheckerTest, AcceptsDocumentsAndRejectsBrokenOnes) {
+  for (const char* good : {"{}", "[]", "{\"a\":[1,-2.5,3e+2,true,false,null,\"x\\ty\"]}\n",
+                           "\"\\u0001\"", "0"}) {
+    EXPECT_TRUE(JsonChecker(good).WellFormed()) << good;
+  }
+  for (const char* bad : {"", "{", "{\"a\":}", "[1,]", "{\"a\" 1}", "\"tab\there\"",
+                          "\"q\"x\"", "01", "1.", "{}{}", "\"\\x\""}) {
+    EXPECT_FALSE(JsonChecker(bad).WellFormed()) << bad;
+  }
+}
+
+// Every report with a JSON form renders a well-formed document, even when
+// the server id, a Zelos path and a workload key carry quotes, backslashes
+// and control bytes.
+TEST(AdminReportJsonTest, EveryJsonReportIsWellFormedWithHostileNames) {
+  const std::string hostile = std::string("\"q\\b\tt\rr") + '\x01';
+  Tracer tracer;
+  BaseEngineOptions options;
+  options.tracer = &tracer;
+  zelos::ZelosApplicator app;
+  ClusterServer server("server" + hostile, std::make_shared<InMemoryLog>(),
+                       LocalStore::Open(LocalStore::Options{}), options);
+  StackConfig config = ZelosStackConfig(nullptr);
+  config.digest_beacon_every = 4;
+  BuildStack(server, config);
+  app.set_metrics(server.metrics());
+  server.RegisterApplicator(&app, zelos::ZelosKeyExtractor::Instance());
+  server.RegisterHealthTarget(&app);
+  server.Start();
+
+  zelos::ZelosClient client(server.top(), &app);
+  server.CollectHealth();  // time-series baseline
+  // 0x01 is Zelos's child separator, so the store rejects this path; the
+  // workload tap charges the key before apply, and each failed proposal is
+  // kept as a slow-trace exemplar.
+  const std::string odd_path = "/odd" + hostile.substr(0, hostile.size() - 1);
+  client.Create(0, odd_path, "v");
+  for (int i = 0; i < 16; ++i) {
+    client.SetData(odd_path, "v" + std::to_string(i));
+    EXPECT_ANY_THROW(client.Create(0, "/bad" + hostile, "v"));
+  }
+  const uint64_t failed_trace = tracer.last_trace_id();
+  server.top()->Sync().Get();
+  server.CollectHealth();  // close a window over the workload
+
+  AdminEndpoint endpoint(&server);
+  int checked = 0;
+  for (const AdminReport& report : AdminReports()) {
+    if (report.json == nullptr) {
+      continue;
+    }
+    const std::string path =
+        report.path + (report.arg.empty() ? "" : "/" + std::to_string(failed_trace));
+    SCOPED_TRACE(path);
+    const AdminResponse response = endpoint.Handle(path + "?format=json");
+    ASSERT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(response.content_type, "application/json");
+    EXPECT_TRUE(JsonChecker(response.body).WellFormed()) << response.body;
+    ++checked;
+  }
+  EXPECT_GE(checked, 12);
+  // The hostile names made it into the reports, escaped.
+  const std::string escaped_id = "server\\\"q\\\\b\\tt\\rr\\u0001";
+  EXPECT_NE(endpoint.Handle("/digest?format=json").body.find(escaped_id), std::string::npos);
+  EXPECT_NE(endpoint.Handle("/top/keys?format=json").body.find("bad\\\"q"), std::string::npos);
+  server.Stop();
 }
 
 TEST_F(AdminServerTest, HttpServerServesRoutesOverLoopback) {

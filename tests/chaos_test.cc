@@ -110,6 +110,28 @@ INSTANTIATE_TEST_SUITE_P(DropRates, LossyNetworkSweep, testing::Values(0.0, 0.02
                            return "drop" + std::to_string(static_cast<int>(info.param * 100));
                          });
 
+// Tearing a quorum cluster down while the sequencer is still retransmitting
+// lost stores: the network's delivery thread must be gone before the
+// ensemble its callbacks call into. Run under scripts/check.sh thread or
+// address, a wrong teardown order reports a use-after-free here.
+TEST(ClusterTeardownTest, DestroysCleanlyWithAppendsInFlightOnALossyNetwork) {
+  for (int round = 0; round < 40; ++round) {
+    Cluster::Options options;
+    options.num_servers = 2;
+    options.log_kind = Cluster::LogKind::kQuorum;
+    options.net_config.default_one_way_latency_micros = 20;
+    options.net_config.drop_probability = 0.3;
+    options.net_config.call_timeout_micros = 200;  // retransmit constantly
+    options.loglet_config.num_acceptors = 3;
+    Cluster cluster(options, [](ClusterServer&) {});
+    for (int i = 0; i < 8; ++i) {
+      LogEntry entry;
+      entry.payload = "op" + std::to_string(i);
+      cluster.server(i % 2).top()->Propose(std::move(entry));  // not awaited
+    }
+  }
+}
+
 TEST(AcceptorChurnTest, CrashAndRecoveryDuringTraffic) {
   Cluster::Options options;
   options.num_servers = 2;

@@ -3,6 +3,7 @@
 // and the chaos wrappers.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <thread>
 
 #include "src/common/errors.h"
@@ -67,19 +68,17 @@ TEST(SimNetworkTest, PartitionBlocksBothWays) {
 TEST(SimNetworkTest, AsyncHandlerRepliesLater) {
   SimNetwork net;
   SimNetwork::ReplyFn saved;
-  std::mutex mu;
+  std::promise<void> handled;
   net.RegisterAsyncHandler("srv", [&](const NodeId&, const std::string&, const std::string&,
                                       SimNetwork::ReplyFn reply) {
-    std::lock_guard<std::mutex> lock(mu);
     saved = std::move(reply);
+    handled.set_value();
   });
   Future<std::string> future = net.Call("cli", "srv", "m", "");
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // The handler has run and kept `reply` without calling it.
+  handled.get_future().wait();
   EXPECT_FALSE(future.IsReady());
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    saved("deferred");
-  }
+  saved("deferred");
   EXPECT_EQ(future.Get(), "deferred");
 }
 
@@ -138,6 +137,13 @@ class QuorumLogletTest : public testing::Test {
     config.num_acceptors = 3;
     ensemble_ = std::make_unique<QuorumEnsemble>(network_.get(), config);
     client_ = std::make_unique<QuorumLogletClient>(network_.get(), "client0", config);
+  }
+
+  // The network's delivery thread calls into the ensemble, so it goes first.
+  ~QuorumLogletTest() override {
+    client_.reset();
+    network_.reset();
+    ensemble_.reset();
   }
 
   std::unique_ptr<SimNetwork> network_;
