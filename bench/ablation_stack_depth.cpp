@@ -27,8 +27,8 @@ struct Stack {
     base = std::make_unique<BaseEngine>(log, &store, BaseEngineOptions{});
     IEngine* top = base.get();
     for (int i = 0; i < depth; ++i) {
-      engines.push_back(std::make_unique<StackableEngine>("noop" + std::to_string(i), top,
-                                                          &store, StackableEngineOptions{}));
+      engines.push_back(
+          std::make_unique<StackableEngine>("noop" + std::to_string(i), top, &store));
       top = engines.back().get();
     }
     top->RegisterUpcall(&app);

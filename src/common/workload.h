@@ -269,8 +269,9 @@ class WorkloadAttributor {
     MetricsRegistry* metrics = nullptr;  // required
     std::string server;                  // label in renders
     FlightRecorder* recorder = nullptr;  // optional kWorkload event sink
-    // Hash-family seed. The simulator pins it (together with its injected
-    // clock windows) so sketch state is a pure function of the schedule.
+    // Hash-family seed. ClusterServer keeps this default (as it does the
+    // budget and hot thresholds below), so together with the simulator's
+    // injected clock windows sketch state is a pure function of the schedule.
     uint64_t hash_seed = 0x5eed0fde;
     size_t topk_keys = 64;
     size_t topk_clients = 64;

@@ -71,6 +71,11 @@ BaseEngine::~BaseEngine() { Stop(); }
 
 void BaseEngine::RegisterUpcall(IApplicator* applicator) { upcall_ = applicator; }
 
+EngineSinks BaseEngine::sinks() const {
+  return EngineSinks{options_.server_id, options_.profiler, options_.metrics,
+                     options_.tracer,    options_.recorder, options_.workload};
+}
+
 void BaseEngine::Start() {
   if (started_.exchange(true)) {
     return;

@@ -87,44 +87,30 @@ struct BaseEngineOptions {
   // ReadCacheOptions::write_through; the simulator turns this off so replay
   // always flows through the FaultyLog read path).
   bool read_cache_write_through = true;
-  // Optional instrumentation.
+  // The server's observation sinks (EngineSinks): this engine reports to
+  // them, and every engine stacked above inherits them at construction.
+  // ClusterServer points the profiler, registry and recorder at its own and
+  // the workload tap at its attributor; the tracer is opt-in (one Tracer
+  // shared by the cluster). Each may stay null (that plane is off).
+  //  * profiler: per-layer apply-thread time (<layer>.apply/.postApply).
+  //  * metrics: base.apply.batch_size, base.apply.commit_micros,
+  //    base.apply.records, base.apply.batches, and the base.apply.lag gauge
+  //    (log positions between the play target and the applied cursor).
+  //  * tracer: Propose stamps a trace id on untraced entries, records the
+  //    shared-log append span and per-record apply spans, and completes the
+  //    client-visible root span.
+  //  * recorder: appends, batch commits, flushes, trims, and crashes.
+  //  * workload: the workload attribution plane's propose-path tap.
   ApplyProfiler* profiler = nullptr;
-  // Optional registry; when set the engine records base.apply.batch_size,
-  // base.apply.commit_micros, base.apply.records, base.apply.batches, and
-  // the base.apply.lag gauge (log positions between the play target and the
-  // applied cursor).
   MetricsRegistry* metrics = nullptr;
-  // Optional per-proposal tracing: when set, Propose stamps a trace id on
-  // untraced entries, records the shared-log append span and per-record
-  // apply spans, and completes the client-visible root span.
   Tracer* tracer = nullptr;
-  // Tail-latency attribution (consumed by ClusterServer, not BaseEngine):
-  // when tracing is on and this is true, the server subscribes a
-  // LatencyAttributor to the cluster Tracer — per-stage latency.stage.*
-  // histograms, critical-path dominance, and slow-trace exemplar capture.
-  bool latency_attribution = true;
-  // Explicit bucket bounds for the attributor's histograms (empty = the
-  // default log-bucketed layout).
-  std::vector<int64_t> latency_stage_bucket_bounds;
-  // Workload attribution plane (src/common/workload.h). The flag is
-  // consumed by ClusterServer: when true the server builds a per-server
-  // WorkloadAttributor, wires it into every engine's propose path and the
-  // app applicator's apply path, and serves /workload + /top/keys +
-  // /top/clients. The pointer is the direct tap BaseEngine charges (set by
-  // ClusterServer; tests may inject their own).
-  bool workload_attribution = true;
-  WorkloadAttributor* workload = nullptr;
-  // Attributor knobs forwarded by ClusterServer: the hash-family seed (the
-  // simulator pins it so sketches replay byte-identically), the hard
-  // per-server sketch byte budget, and the hot-spot share threshold.
-  uint64_t workload_hash_seed = 0x5eed0fde;
-  size_t workload_sketch_byte_budget = 512 * 1024;
-  double workload_hot_share_threshold_pct = 25.0;
-  uint64_t workload_hot_min_ops = 64;
-  // Optional (but in practice always-on: ClusterServer defaults it to the
-  // server's own ring) flight recorder for appends, batch commits, flushes,
-  // trims, and crashes.
   FlightRecorder* recorder = nullptr;
+  WorkloadAttributor* workload = nullptr;
+  // Consumed by ClusterServer: when true the server builds a per-server
+  // WorkloadAttributor (src/common/workload.h), sets `workload` to it, taps
+  // the app applicator's apply path, and serves /workload + /top/keys +
+  // /top/clients.
+  bool workload_attribution = true;
   // Invoked on non-deterministic failure; default aborts the process.
   std::function<void(const std::string&)> fatal_handler;
   // Simulation hook: invoked after a batch's transaction (including the
@@ -170,6 +156,7 @@ class BaseEngine : public IEngine, public IHealthCheckable {
   Future<ROTxn> Sync() override;
   void RegisterUpcall(IApplicator* applicator) override;
   void SetTrimPrefix(LogPos pos) override;
+  EngineSinks sinks() const override;
 
   const std::string& server_id() const { return options_.server_id; }
   LogPos applied_position() const { return applied_pos_.load(std::memory_order_acquire); }

@@ -1,24 +1,45 @@
 #include "src/core/cluster.h"
 
 #include "src/common/logging.h"
-#include "src/core/apply_profiler.h"
 #include "src/sharedlog/inmemory_log.h"
 
 namespace delos {
 
+std::any WorkloadTapApplicator::Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) {
+  // BeginApply keeps the op/byte totals exact for every record; only the
+  // sampled subset pays for key extraction, client-id parsing, and the
+  // sketch updates (with the compensating weight).
+  if (attributor_ != nullptr && attributor_->BeginApply(entry.payload.size())) {
+    uint64_t ids[16];
+    const size_t n = ClientIdsInto(entry, ids, 16);
+    attributor_->ChargeApplySampled(extractor_ != nullptr ? extractor_->KeyOf(entry.payload) : "",
+                                    std::span<const uint64_t>(ids, n), entry.payload.size());
+  }
+  const std::vector<uint64_t> trace_ids =
+      tracer_ != nullptr ? TraceIdsOf(entry) : std::vector<uint64_t>{};
+  if (trace_ids.empty()) {
+    return inner_->Apply(txn, entry, pos);
+  }
+  const int64_t start = tracer_->NowMicros();
+  std::any result = inner_->Apply(txn, entry, pos);
+  const int64_t end = tracer_->NowMicros();
+  for (const uint64_t id : trace_ids) {
+    tracer_->RecordSpan(id, "app.apply", server_id_, start, end);
+  }
+  return result;
+}
+
 ClusterServer::ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
                              std::unique_ptr<LocalStore> store, BaseEngineOptions base_options)
     : id_(std::move(id)), log_(std::move(log)), store_(std::move(store)) {
+  // The server's sinks, decided once here: every engine stacked on the base
+  // inherits them. The flight recorder is always on (this server's own
+  // ring unless the options injected one); tracing stays opt-in (a Tracer
+  // injected through the base options is shared by the whole cluster so one
+  // trace spans every replica).
   base_options.server_id = id_;
-  if (base_options.profiler == nullptr) {
-    base_options.profiler = &profiler_;
-  }
-  if (base_options.metrics == nullptr) {
-    base_options.metrics = &metrics_;
-  }
-  // The flight recorder is always on: default to this server's own ring.
-  // Tracing stays opt-in (a Tracer injected through the base options is
-  // shared by the whole cluster so one trace spans every replica).
+  base_options.profiler = &profiler_;
+  base_options.metrics = &metrics_;
   if (base_options.recorder == nullptr) {
     base_options.recorder = &own_recorder_;
   }
@@ -29,32 +50,27 @@ ClusterServer::ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
   }
   clock_ = base_options.clock;
   // Workload attribution plane: one attributor per server (sketch state is
-  // replica-local; the apply tap makes it replica-consistent). Built before
-  // the BaseEngine so the same pointer taps the append path; an attributor
-  // injected through the base options wins (benches share one instance).
-  if (base_options.workload_attribution && base_options.workload == nullptr) {
+  // replica-local; the apply tap makes it replica-consistent), tapping the
+  // base's append path and every layer's propose hand-off through the
+  // sinks, and the app's apply path through RegisterApplicator.
+  if (base_options.workload_attribution) {
     WorkloadAttributor::Options workload_options;
     workload_options.metrics = &metrics_;
     workload_options.server = id_;
     workload_options.recorder = recorder_;
-    workload_options.hash_seed = base_options.workload_hash_seed;
-    workload_options.sketch_byte_budget = base_options.workload_sketch_byte_budget;
-    workload_options.hot_share_threshold_pct = base_options.workload_hot_share_threshold_pct;
-    workload_options.hot_min_ops = base_options.workload_hot_min_ops;
     workload_ = std::make_unique<WorkloadAttributor>(std::move(workload_options));
-    base_options.workload = workload_.get();
   }
+  base_options.workload = workload_.get();
   // Tail-latency attribution plane: one attributor per server, subscribed
   // to the cluster-wide Tracer and filtering on this server's span label.
   // The observer registration is explicitly undone in the destructor —
   // servers are torn down and rebuilt on (simulated) crash while the tracer
   // lives on.
-  if (tracer_ != nullptr && base_options.latency_attribution) {
+  if (tracer_ != nullptr) {
     LatencyAttributor::Options latency_options;
     latency_options.metrics = &metrics_;
     latency_options.server = id_;
     latency_options.recorder = recorder_;
-    latency_options.stage_bucket_bounds = base_options.latency_stage_bucket_bounds;
     latency_ = std::make_unique<LatencyAttributor>(std::move(latency_options));
     LatencyAttributor* attributor = latency_.get();
     tracer_observer_id_ =
@@ -68,7 +84,7 @@ ClusterServer::ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
     ReadCacheOptions cache_options;
     cache_options.capacity_records = base_options.read_cache_capacity;
     cache_options.write_through = base_options.read_cache_write_through;
-    cache_options.metrics = base_options.metrics;
+    cache_options.metrics = &metrics_;
     cache_options.recorder = recorder_;
     read_cache_ = std::make_shared<ReadCachingLog>(log_, cache_options);
     log_ = read_cache_;
@@ -102,13 +118,13 @@ ClusterServer::~ClusterServer() {
 }
 
 void ClusterServer::RegisterApplicator(IApplicator* app, const IKeyExtractor* extractor) {
-  if (workload_ == nullptr) {
+  if (workload_ == nullptr && tracer_ == nullptr) {
     top_->RegisterUpcall(app);
     return;
   }
-  workload_taps_.push_back(
-      std::make_unique<WorkloadTapApplicator>(app, workload_.get(), extractor));
-  top_->RegisterUpcall(workload_taps_.back().get());
+  app_taps_.push_back(
+      std::make_unique<WorkloadTapApplicator>(app, workload_.get(), extractor, tracer_, id_));
+  top_->RegisterUpcall(app_taps_.back().get());
 }
 
 StackableEngine* ClusterServer::FindEngine(const std::string& name) {

@@ -7,6 +7,13 @@
 // which exercises recovery-by-replay and, with a stack builder that differs
 // across restarts, rolling upgrades for the two-phase engine insertion
 // protocol.
+//
+// A server's observation sinks — profiler, registry, tracer, flight
+// recorder, workload attributor, and its id as the span label — are set
+// once, on the BaseEngine's options in the ClusterServer constructor; every
+// engine AddEngine stacks inherits them from the engine below it, and
+// RegisterApplicator puts the one app tap (workload sampling + the
+// app.apply span) between the top engine and the application.
 #pragma once
 
 #include <filesystem>
@@ -28,6 +35,38 @@
 
 namespace delos {
 
+// The app tap: sits between the top engine and the application. Every
+// applied app entry is charged to the workload attribution plane (when
+// `attributor` is set) and, when `tracer` is set, a traced entry gets an
+// "app.apply" span on every replica — the top of the up-path in a
+// proposal's trace. Sitting at the top of the stack means batch sub-entries
+// arrive here individually (BatchingEngine decodes them before calling
+// upstream), so per-key and per-client attribution is exact and — because
+// apply is log-driven — identical on every replica. The key extractor is
+// app-provided (semantic keys: table/pk, zk path, queue name); a null
+// extractor attributes bytes and clients but no keys.
+class WorkloadTapApplicator : public IApplicator {
+ public:
+  WorkloadTapApplicator(IApplicator* inner, WorkloadAttributor* attributor,
+                        const IKeyExtractor* extractor, Tracer* tracer = nullptr,
+                        std::string server_id = "")
+      : inner_(inner),
+        attributor_(attributor),
+        extractor_(extractor),
+        tracer_(tracer),
+        server_id_(std::move(server_id)) {}
+
+  std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) override;
+  void PostApply(const LogEntry& entry, LogPos pos) override { inner_->PostApply(entry, pos); }
+
+ private:
+  IApplicator* inner_;
+  WorkloadAttributor* attributor_;
+  const IKeyExtractor* extractor_;
+  Tracer* tracer_;
+  std::string server_id_;
+};
+
 class ClusterServer {
  public:
   ClusterServer(std::string id, std::shared_ptr<ISharedLog> log,
@@ -41,15 +80,10 @@ class ClusterServer {
   Engine* AddEngine(Args&&... args) {
     auto engine = std::make_unique<Engine>(std::forward<Args>(args)..., top_, store_.get());
     Engine* raw = engine.get();
-    // Every engine of this server shares its flight recorder and the
-    // cluster's tracer; injected here so stack builders need no plumbing.
-    raw->ConfigureObservability(tracer_, recorder_, id_);
-    // And the workload attribution plane, so every layer's propose hand-off
-    // is charged per client (null when attribution is disabled).
-    raw->ConfigureWorkload(workload_.get());
-    // And every engine is a watchdog target: its HealthCheck verdict shows
-    // up in /healthz and the health.state gauges without registration code
-    // in the stack builder.
+    // The engine inherited this server's sinks from the one below it; it is
+    // also a watchdog target, so its HealthCheck verdict shows up in
+    // /healthz and the health.state gauges without registration code in the
+    // stack builder.
     watchdog_->AddTarget(raw);
     middle_.push_back(std::move(engine));
     top_ = raw;
@@ -79,19 +113,19 @@ class ClusterServer {
   // tracing is off).
   FlightRecorder* flight_recorder() { return recorder_; }
   Tracer* tracer() { return tracer_; }
-  // The tail-latency attribution plane (nullptr when tracing is off or
-  // latency_attribution was disabled in the base options).
+  // The tail-latency attribution plane (nullptr iff tracing is off).
   LatencyAttributor* latency() { return latency_.get(); }
   // The workload attribution plane (nullptr when workload_attribution was
   // disabled in the base options).
   WorkloadAttributor* workload() { return workload_.get(); }
 
-  // Attaches the application's applicator to the top of the stack, wrapped
-  // in the workload apply tap when attribution is on. The extractor (owned
-  // by the caller, typically the applicator itself) pulls the semantic key
-  // out of each op payload; null attributes ops/bytes/clients but no keys.
-  // Prefer this over top()->RegisterUpcall(app) — the raw form still works
-  // but bypasses per-key attribution.
+  // Attaches the application's applicator to the top of the stack, behind
+  // the app tap (WorkloadTapApplicator) when workload attribution or tracing
+  // is on; with neither, the bare app. The extractor (owned by the caller,
+  // typically the applicator itself) pulls the semantic key out of each op
+  // payload; null attributes ops/bytes/clients but no keys. Prefer this
+  // over top()->RegisterUpcall(app) — the raw form still works but
+  // bypasses per-key attribution and the app.apply span.
   void RegisterApplicator(IApplicator* app, const IKeyExtractor* extractor = nullptr);
 
   // Health plane. The watchdog holds every engine of this server (base
@@ -143,9 +177,9 @@ class ClusterServer {
   Clock* clock_ = nullptr;
   std::unique_ptr<LatencyAttributor> latency_;
   std::unique_ptr<WorkloadAttributor> workload_;
-  // Apply-tap decorators built by RegisterApplicator (one per registered
-  // app); they must outlive the engines whose upcalls point at them.
-  std::vector<std::unique_ptr<IApplicator>> workload_taps_;
+  // App taps built by RegisterApplicator (one per registered app); they
+  // must outlive the engines whose upcalls point at them.
+  std::vector<std::unique_ptr<WorkloadTapApplicator>> app_taps_;
   uint64_t tracer_observer_id_ = 0;  // 0 = not registered
   TimeSeriesStore series_;
   std::unique_ptr<Watchdog> watchdog_;

@@ -19,6 +19,7 @@
 
 #include <any>
 #include <exception>
+#include <string>
 
 #include "src/common/future.h"
 #include "src/core/entry.h"
@@ -26,6 +27,25 @@
 #include "src/sharedlog/shared_log.h"
 
 namespace delos {
+
+class ApplyProfiler;
+class FlightRecorder;
+class MetricsRegistry;
+class Tracer;
+class WorkloadAttributor;
+
+// The observation sinks of the server an engine runs on. They are one
+// decision, made on the BaseEngine's options: every engine stacked above
+// copies them from the engine below it at construction, so no layer carries
+// its own sink options. Any sink may be null (that plane is off).
+struct EngineSinks {
+  std::string server_id;  // the replica label on this server's spans
+  ApplyProfiler* profiler = nullptr;
+  MetricsRegistry* metrics = nullptr;
+  Tracer* tracer = nullptr;
+  FlightRecorder* recorder = nullptr;
+  WorkloadAttributor* workload = nullptr;
+};
 
 // A deterministic exception captured from an apply upcall, traveling down
 // the stack as a value (inside std::any) toward the waiting propose.
@@ -70,6 +90,10 @@ class IEngine {
   // as the layers above are concerned. Engines relay the minimum of this
   // constraint and their own opinion (§3.3).
   virtual void SetTrimPrefix(LogPos pos) = 0;
+
+  // The sinks an engine stacked on this one inherits. An engine outside a
+  // server (a test fake) reports none.
+  virtual EngineSinks sinks() const { return {}; }
 };
 
 // Sentinel for "no trim constraint from above".

@@ -14,6 +14,11 @@
 //    passes entries through but performs no state mutation in apply.
 //  * Trim relay: each engine tracks the constraint relayed from above and
 //    its own opinion, and forwards the minimum (§3.3).
+//  * Observation sinks: an engine copies the server's sinks (EngineSinks:
+//    profiler, registry, tracer, flight recorder, workload attributor,
+//    server label) from the engine below it at construction, so engines
+//    take no sink options and the BaseEngine's options decide for the whole
+//    stack.
 #pragma once
 
 #include <atomic>
@@ -72,28 +77,14 @@ class ApplyCarry {
 inline constexpr uint64_t kMsgTypeEnable = 1000;
 inline constexpr uint64_t kMsgTypeDisable = 1001;
 
-struct StackableEngineOptions {
-  ApplyProfiler* profiler = nullptr;
-  MetricsRegistry* metrics = nullptr;
-  // Observability sinks, normally injected by ClusterServer::AddEngine via
-  // ConfigureObservability (so every engine of a server shares the server's
-  // recorder and the cluster's tracer without per-engine plumbing).
-  Tracer* tracer = nullptr;
-  FlightRecorder* recorder = nullptr;
-  // Workload attribution sink (per-layer propose accounting); injected by
-  // ClusterServer::AddEngine via ConfigureWorkload.
-  WorkloadAttributor* workload = nullptr;
-  // Initial enabled state when the LocalStore has no recorded flag (i.e. the
-  // engine has always been part of this deployment's stack). Two-phase
-  // insertion deploys with false and enables via the log.
-  bool start_enabled = true;
-};
-
 class StackableEngine : public IEngine, public IApplicator, public IHealthCheckable {
  public:
-  // Registers itself as `downstream`'s applicator.
+  // Registers itself as `downstream`'s applicator and inherits its sinks.
+  // `start_enabled` is the enabled state when the LocalStore has no recorded
+  // flag (i.e. the engine has always been part of this deployment's stack);
+  // two-phase insertion deploys with false and enables via the log.
   StackableEngine(std::string name, IEngine* downstream, LocalStore* store,
-                  StackableEngineOptions options = StackableEngineOptions{});
+                  bool start_enabled = true);
 
   // IEngine. Subclasses override Propose when they do more than piggyback
   // (e.g. batching, session retries).
@@ -101,6 +92,7 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
   Future<ROTxn> Sync() override { return downstream_->Sync(); }
   void RegisterUpcall(IApplicator* applicator) override { upstream_ = applicator; }
   void SetTrimPrefix(LogPos pos) override;
+  EngineSinks sinks() const override { return sinks_; }
 
   // IApplicator (final: subclasses hook ApplyData / ApplyControl / ...).
   std::any Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) final;
@@ -121,15 +113,6 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
   HealthReport HealthCheck() const override {
     return HealthReport{name_, HealthState::kOk, "", 0};
   }
-
-  // Wires the tracing/flight-recorder sinks and the server label used on
-  // this engine's spans. Called by ClusterServer::AddEngine right after
-  // construction (before any traffic); tests may call it directly.
-  void ConfigureObservability(Tracer* tracer, FlightRecorder* recorder, std::string server_id);
-
-  // Wires the workload attribution sink (may stay null: attribution off).
-  // Called by ClusterServer::AddEngine alongside ConfigureObservability.
-  void ConfigureWorkload(WorkloadAttributor* workload) { options_.workload = workload; }
 
  protected:
   // Piggybacks this engine's header on an outgoing application proposal.
@@ -192,12 +175,12 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
   IApplicator* upstream() { return upstream_; }
   LocalStore* store() { return store_; }
   const Keyspace& space() const { return space_; }
-  ApplyProfiler* profiler() { return options_.profiler; }
-  MetricsRegistry* metrics() { return options_.metrics; }
-  Tracer* tracer() { return options_.tracer; }
-  FlightRecorder* recorder() { return options_.recorder; }
-  WorkloadAttributor* workload() { return options_.workload; }
-  const std::string& server_label() const { return server_label_; }
+  ApplyProfiler* profiler() { return sinks_.profiler; }
+  MetricsRegistry* metrics() { return sinks_.metrics; }
+  Tracer* tracer() { return sinks_.tracer; }
+  FlightRecorder* recorder() { return sinks_.recorder; }
+  WorkloadAttributor* workload() { return sinks_.workload; }
+  const std::string& server_label() const { return sinks_.server_id; }
 
  private:
   void RelayTrim();
@@ -221,11 +204,10 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
   // profiler): skips the profiler's shared-lock label lookup per record.
   std::atomic<int64_t>* apply_slot_ = nullptr;
   std::atomic<int64_t>* postapply_slot_ = nullptr;
-  // Which replica this engine instance runs on; attributed on its spans.
-  std::string server_label_;
   IEngine* downstream_;
   LocalStore* store_;
-  StackableEngineOptions options_;
+  // Copied from downstream_ at construction; never changes afterwards.
+  const EngineSinks sinks_;
   Keyspace space_;
   std::string enabled_key_;
   IApplicator* upstream_ = nullptr;

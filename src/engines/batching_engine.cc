@@ -10,14 +10,6 @@ namespace {
 
 constexpr char kEngineName[] = "batching";
 
-StackableEngineOptions MakeStackOptions(const BatchingEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 std::string EncodeBatch(const std::vector<LogEntry>& entries) {
   Serializer ser;
   ser.WriteVarint(entries.size());
@@ -41,13 +33,13 @@ std::vector<LogEntry> DecodeBatch(const std::string& blob) {
 }  // namespace
 
 BatchingEngine::BatchingEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store, options.start_enabled),
       options_(options) {
   if (options_.clock == nullptr) {
     options_.clock = RealClock::Instance();
   }
-  if (options_.metrics != nullptr) {
-    queue_depth_gauge_ = options_.metrics->GetGauge("batching.queue.depth");
+  if (metrics() != nullptr) {
+    queue_depth_gauge_ = metrics()->GetGauge("batching.queue.depth");
   }
 }
 

@@ -27,8 +27,6 @@ class BatchingEngine : public StackableEngine {
   struct Options {
     size_t max_batch_entries = 64;
     int64_t max_delay_micros = 500;
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
     // Clock for health math (open-batch age). Defaults to RealClock; the
     // flush timer itself stays on the TimerScheduler.

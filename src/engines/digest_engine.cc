@@ -24,22 +24,6 @@ const std::vector<std::string>& ExcludedKeys() {
   return kKeys;
 }
 
-StackableEngineOptions MakeStackOptions(const DigestEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
-DivergenceOptions MakeTrackerOptions(const DigestEngine::Options& options) {
-  DivergenceOptions tracker_options;
-  tracker_options.server = options.server_id;
-  tracker_options.metrics = options.metrics;
-  tracker_options.recorder = options.recorder;
-  return tracker_options;
-}
-
 std::string PadPos(LogPos pos) {
   // Zero-padded decimal so lexicographic key order is numeric order.
   std::string out(20, '0');
@@ -63,10 +47,11 @@ uint64_t DecodeDigest(std::string_view bytes) {
 }  // namespace
 
 DigestEngine::DigestEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store, options.start_enabled),
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()),
-      tracker_(MakeTrackerOptions(options_)) {
+      tracker_(DivergenceOptions{
+          .server = options_.server_id, .metrics = metrics(), .recorder = recorder()}) {
   // Recover the sample table: after a crash the store (checkpoint + replay)
   // already holds the deterministic table, so outgoing beacons resume with
   // exactly the samples every healthy peer expects.

@@ -65,12 +65,6 @@ class DigestEngine : public StackableEngine {
     // Digest samples kept in the store table and carried per beacon.
     size_t sample_window = 8;
     Clock* clock = nullptr;  // defaults to RealClock
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
-    // Sink for the kDivergence event + conviction flight excerpt. Wired by
-    // stacks.cc to the server's recorder (the tracker needs it at
-    // construction, before ConfigureObservability runs).
-    FlightRecorder* recorder = nullptr;
     bool start_enabled = true;
   };
 

@@ -9,14 +9,6 @@ namespace {
 
 constexpr char kEngineName[] = "lease";
 
-StackableEngineOptions MakeStackOptions(const LeaseEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 std::string EncodeExpire(uint64_t epoch, uint64_t renewal_seq) {
   Serializer ser;
   ser.WriteVarint(epoch);
@@ -44,11 +36,11 @@ LeaseEngine::LeaseState LeaseEngine::LeaseState::Decode(std::string_view bytes) 
 }
 
 LeaseEngine::LeaseEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store, options.start_enabled),
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()) {
-  if (options_.metrics != nullptr) {
-    active_gauge_ = options_.metrics->GetGauge("lease.active");
+  if (metrics() != nullptr) {
+    active_gauge_ = metrics()->GetGauge("lease.active");
   }
   if (options_.auto_renew) {
     renew_thread_ = std::thread([this] { RenewLoopMain(); });

@@ -49,8 +49,6 @@ class LeaseEngine : public StackableEngine {
     // is the holder.
     bool auto_renew = true;
     Clock* clock = nullptr;  // defaults to RealClock
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
   };
 

@@ -4,21 +4,10 @@
 
 namespace delos {
 
-namespace {
-
-StackableEngineOptions MakeStackOptions(const ObserverEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  return stack_options;
-}
-
-}  // namespace
-
 ObserverEngine::ObserverEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine("observer-" + options.label, downstream, store, MakeStackOptions(options)),
-      propose_hist_(options.metrics->GetHistogram(options.label + ".propose.latency_us")),
-      sync_hist_(options.metrics->GetHistogram(options.label + ".sync.latency_us")) {}
+    : StackableEngine("observer-" + options.label, downstream, store),
+      propose_hist_(metrics()->GetHistogram(options.label + ".propose.latency_us")),
+      sync_hist_(metrics()->GetHistogram(options.label + ".sync.latency_us")) {}
 
 Future<std::any> ObserverEngine::Propose(LogEntry entry) {
   const int64_t start = RealClock::Instance()->NowMicros();

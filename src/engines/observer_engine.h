@@ -4,7 +4,8 @@
 // of the sub-stack below it and records it into named histograms
 // ("<label>.propose.latency_us", matching the production dashboard names in
 // Figure 11). Standard practice is to layer one observer above each engine,
-// separating monitoring from core logic.
+// separating monitoring from core logic. The histograms live in the
+// server's registry, inherited from the engine below (required).
 #pragma once
 
 #include "src/common/metrics.h"
@@ -18,8 +19,6 @@ class ObserverEngine : public StackableEngine {
     // Names the layer being observed (the engine directly below); becomes
     // the metric prefix.
     std::string label;
-    MetricsRegistry* metrics = nullptr;
-    ApplyProfiler* profiler = nullptr;
   };
 
   ObserverEngine(Options options, IEngine* downstream, LocalStore* store);

@@ -15,14 +15,6 @@ namespace {
 
 constexpr char kEngineName[] = "sessionorder";
 
-StackableEngineOptions MakeStackOptions(const SessionOrderEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 std::string EncodeSessionHeader(const std::string& session, uint64_t seq) {
   Serializer ser;
   ser.WriteString(session);
@@ -56,7 +48,7 @@ constexpr int kMaxAppendRetries = 8;
 }  // namespace
 
 SessionOrderEngine::SessionOrderEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store, options.start_enabled),
       options_(std::move(options)) {
   if (options_.clock == nullptr) {
     options_.clock = RealClock::Instance();

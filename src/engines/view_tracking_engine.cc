@@ -10,14 +10,6 @@ namespace {
 
 constexpr char kEngineName[] = "viewtracking";
 
-StackableEngineOptions MakeStackOptions(const ViewTrackingEngine::Options& options) {
-  StackableEngineOptions stack_options;
-  stack_options.metrics = options.metrics;
-  stack_options.profiler = options.profiler;
-  stack_options.start_enabled = options.start_enabled;
-  return stack_options;
-}
-
 std::string EncodePositionHeader(const std::string& server, LogPos durable) {
   Serializer ser;
   ser.WriteString(server);
@@ -39,11 +31,11 @@ LogPos DecodePos(const std::string& bytes) {
 }  // namespace
 
 ViewTrackingEngine::ViewTrackingEngine(Options options, IEngine* downstream, LocalStore* store)
-    : StackableEngine(kEngineName, downstream, store, MakeStackOptions(options)),
+    : StackableEngine(kEngineName, downstream, store, options.start_enabled),
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : RealClock::Instance()) {
-  if (options_.metrics != nullptr) {
-    members_gauge_ = options_.metrics->GetGauge("viewtracking.members");
+  if (metrics() != nullptr) {
+    members_gauge_ = metrics()->GetGauge("viewtracking.members");
   }
   if (options_.heartbeat_interval_micros > 0) {
     heartbeat_thread_ = std::thread([this] { HeartbeatLoopMain(); });

@@ -43,8 +43,6 @@ class ViewTrackingEngine : public StackableEngine {
     // protection.
     int64_t heartbeat_interval_micros = 0;
     Clock* clock = nullptr;  // defaults to RealClock
-    ApplyProfiler* profiler = nullptr;
-    MetricsRegistry* metrics = nullptr;
     bool start_enabled = true;
   };
 

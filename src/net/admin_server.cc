@@ -7,7 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <sstream>
 
 #include "src/common/json.h"
@@ -130,18 +132,44 @@ AdminResponse StackJson(ClusterServer& server, uint64_t) {
       .Key("apply_batches").Int(base->apply_batches())
       .Key("apply_busy_micros").Int(base->apply_busy_micros())
       .Key("stack").BeginArray();
-  const auto layer = [&](const std::string& name, bool enabled, const HealthReport& health) {
+  // Each layer's own apply / postApply time per applied record, from the
+  // server's ApplyProfiler: a layer's inclusive time minus that of the layer
+  // above it. The base's inclusive apply time is the apply thread's busy
+  // time less the transaction and postApply; the top engine's figure
+  // includes the app, which is not profiled.
+  const std::vector<StackableEngine*> engines = server.engines();
+  const ApplyProfiler& profiler = *server.profiler();
+  const std::map<std::string, int64_t> inclusive = profiler.InclusiveMicros();
+  const auto micros = [&](const std::string& label) {
+    const auto it = inclusive.find(label);
+    return it == inclusive.end() ? 0.0 : static_cast<double>(it->second);
+  };
+  std::vector<double> apply = {static_cast<double>(profiler.TotalBusyMicros()) -
+                               micros("base.beginTX") - micros("base.commitTX") -
+                               micros("postApply")};
+  std::vector<double> post_apply = {micros("postApply")};
+  for (StackableEngine* engine : engines) {
+    apply.push_back(micros(engine->name() + ".apply"));
+    post_apply.push_back(micros(engine->name() + ".postApply"));
+  }
+  apply.push_back(0);
+  post_apply.push_back(0);
+  const double records = static_cast<double>(std::max<int64_t>(1, profiler.TotalRecords()));
+  const auto layer = [&](size_t i, const std::string& name, bool enabled,
+                         const HealthReport& health) {
     json.BeginObject()
         .Key("name").String(name)
         .Key("enabled").Bool(enabled)
         .Key("health").String(HealthStateName(health.state))
         .Key("reason").String(health.reason)
+        .Key("apply_us_per_record").Fixed((apply[i] - apply[i + 1]) / records, 3)
+        .Key("postapply_us_per_record").Fixed((post_apply[i] - post_apply[i + 1]) / records, 3)
         .EndObject();
   };
   // Bottom-up, base first — the order entries flow on the apply path.
-  layer("base", true, base->HealthCheck());
-  for (StackableEngine* engine : server.engines()) {
-    layer(engine->name(), engine->enabled(), engine->HealthCheck());
+  layer(0, "base", true, base->HealthCheck());
+  for (size_t i = 0; i < engines.size(); ++i) {
+    layer(i + 1, engines[i]->name(), engines[i]->enabled(), engines[i]->HealthCheck());
   }
   json.EndArray().EndObject();
   return Json(json.Take());

@@ -123,6 +123,27 @@ TEST_F(AdminServerTest, StackRouteRendersEnginesBottomUp) {
   EXPECT_LT(base_at, batching_at);
 }
 
+TEST_F(AdminServerTest, StackRouteReportsEachLayersOwnApplyTimePerRecord) {
+  for (int i = 0; i < 4; ++i) {
+    client_->SetData("/n0", "w" + std::to_string(i));
+  }
+  server().top()->Sync().Get();
+  const std::string body = AdminEndpoint(&server()).Handle("/stack").body;
+  // One object per layer (base + five Zelos engines), each carrying both
+  // figures as plain numbers.
+  for (const char* field : {"\"apply_us_per_record\":", "\"postapply_us_per_record\":"}) {
+    size_t layers = 0;
+    for (size_t at = body.find(field); at != std::string::npos; at = body.find(field, at + 1)) {
+      const char* value = body.c_str() + at + std::strlen(field);
+      char* end = nullptr;
+      std::strtod(value, &end);
+      EXPECT_NE(end, value) << field << " is not numeric in " << body;
+      ++layers;
+    }
+    EXPECT_EQ(layers, 6u) << body;
+  }
+}
+
 TEST_F(AdminServerTest, TopAndSeriesServeTheTimeSeriesRing) {
   AdminEndpoint endpoint(&server());
   const AdminResponse top = endpoint.Handle("/top");
@@ -170,11 +191,9 @@ TEST_F(AdminServerTest, SlowRoutesServeExemplars) {
 }
 
 TEST_F(AdminServerTest, LatencyRoutesReturn404WhenAttributionIsDisabled) {
-  Tracer tracer;
+  // The latency plane exists iff the cluster has a Tracer.
   Cluster::Options options;
   options.num_servers = 1;
-  options.base_options.tracer = &tracer;
-  options.base_options.latency_attribution = false;
   std::map<std::string, std::unique_ptr<zelos::ZelosApplicator>> apps;
   Cluster cluster(options, [&](ClusterServer& server) {
     BuildStack(server, ZelosStackConfig(nullptr));

@@ -1,13 +1,16 @@
 // Per-engine tests: ObserverEngine, ViewTrackingEngine, BrainDoctorEngine,
-// BatchingEngine.
+// BatchingEngine, and sink inheritance (every engine reports to the sinks
+// of the server it is stacked on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "src/core/base_engine.h"
 #include "src/engines/batching_engine.h"
 #include "src/engines/brain_doctor_engine.h"
 #include "src/engines/observer_engine.h"
+#include "src/engines/stacks.h"
 #include "src/engines/view_tracking_engine.h"
 #include "src/sharedlog/inmemory_log.h"
 
@@ -52,11 +55,10 @@ TEST(ObserverEngineTest, RecordsProposeAndSyncLatency) {
   LocalStore store;
   MetricsRegistry metrics;
   CountingApplicator app;
-  BaseEngine base(log, &store, BaseEngineOptions{});
-  ObserverEngine::Options options;
-  options.label = "base";
-  options.metrics = &metrics;
-  ObserverEngine observer(options, &base, &store);
+  BaseEngineOptions base_options;
+  base_options.metrics = &metrics;
+  BaseEngine base(log, &store, base_options);
+  ObserverEngine observer(ObserverEngine::Options{"base"}, &base, &store);
   observer.RegisterUpcall(&app);
   base.Start();
 
@@ -72,11 +74,10 @@ TEST(ObserverEngineTest, RecordsLatencyEvenOnFailure) {
   LocalStore store;
   MetricsRegistry metrics;
   CountingApplicator app;
-  BaseEngine base(log, &store, BaseEngineOptions{});
-  ObserverEngine::Options options;
-  options.label = "base";
-  options.metrics = &metrics;
-  ObserverEngine observer(options, &base, &store);
+  BaseEngineOptions base_options;
+  base_options.metrics = &metrics;
+  BaseEngine base(log, &store, base_options);
+  ObserverEngine observer(ObserverEngine::Options{"base"}, &base, &store);
   observer.RegisterUpcall(&app);
   base.Start();
 
@@ -323,6 +324,70 @@ TEST(BatchingTest, GroupCommitUsesOneTransactionPerBatch) {
   }
   // One LocalStore commit for the whole batch (group commit), not eight.
   EXPECT_EQ(server.store.committed_version(), version_before + 1);
+}
+
+// --- Sink inheritance ---
+
+// An engine takes no sink options: it reports to the registry, profiler and
+// flight recorder set on the BaseEngine it is stacked on.
+TEST(EngineSinksTest, EngineReportsToTheSinksOfTheBaseBelowIt) {
+  auto log = std::make_shared<InMemoryLog>();
+  LocalStore store;
+  MetricsRegistry metrics;
+  ApplyProfiler profiler;
+  FlightRecorder recorder(64);
+  BaseEngineOptions base_options;
+  base_options.server_id = "s0";
+  base_options.metrics = &metrics;
+  base_options.profiler = &profiler;
+  base_options.recorder = &recorder;
+  BaseEngine base(log, &store, base_options);
+  BatchingEngine::Options options;
+  options.start_enabled = false;
+  BatchingEngine batching(options, &base, &store);
+  CountingApplicator app;
+  batching.RegisterUpcall(&app);
+  base.Start();
+
+  batching.EnableViaLog();
+  EXPECT_EQ(batching.Propose(PayloadEntry("x")).Get().type(), typeid(std::string));
+
+  const std::vector<std::string> gauges = metrics.GaugeNames();
+  EXPECT_NE(std::find(gauges.begin(), gauges.end(), "batching.queue.depth"), gauges.end());
+  const std::map<std::string, int64_t> labels = profiler.InclusiveMicros();
+  EXPECT_EQ(labels.count("batching.apply"), 1u);
+  EXPECT_EQ(labels.count("batching.postApply"), 1u);
+  bool saw_enable = false;
+  for (const FlightRecorder::Event& event : recorder.Snapshot()) {
+    saw_enable |= event.kind == FlightEventKind::kControl && event.detail == "batching enabled";
+  }
+  EXPECT_TRUE(saw_enable) << recorder.Dump();
+  EXPECT_EQ(batching.sinks().server_id, "s0");
+  base.Stop();
+}
+
+// A production-shaped stack: every middle engine reports its apply time to
+// the server's profiler without any per-engine wiring in the stack builder.
+TEST(EngineSinksTest, EveryEngineOfABuiltStackReportsToTheServerProfiler) {
+  ClusterServer server("s0", std::make_shared<InMemoryLog>(), std::make_unique<LocalStore>(),
+                       BaseEngineOptions{});
+  BuildStack(server, ZelosStackConfig(nullptr));
+  CountingApplicator app;
+  server.RegisterApplicator(&app);
+  server.Start();
+  server.top()->Propose(PayloadEntry("x")).Get();
+
+  const std::map<std::string, int64_t> labels = server.profiler()->InclusiveMicros();
+  ASSERT_EQ(server.engines().size(), 5u);  // digest braindoctor viewtracking sessionorder batching
+  for (StackableEngine* engine : server.engines()) {
+    EXPECT_EQ(labels.count(engine->name() + ".apply"), 1u) << engine->name();
+    EXPECT_EQ(labels.count(engine->name() + ".postApply"), 1u) << engine->name();
+    const EngineSinks sinks = engine->sinks();
+    EXPECT_EQ(sinks.metrics, server.metrics()) << engine->name();
+    EXPECT_EQ(sinks.recorder, server.flight_recorder()) << engine->name();
+    EXPECT_EQ(sinks.workload, server.workload()) << engine->name();
+  }
+  server.Stop();
 }
 
 }  // namespace

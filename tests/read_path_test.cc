@@ -391,33 +391,50 @@ TEST(PrefetchTest, ClusterServerWiresSharedCacheIntoApplyPath) {
 
 // --- Quorum loglet tail memoization ---
 
-TEST(QuorumTailMemoTest, SkipsTailRpcWhenMemoCoversRange) {
-  NetworkConfig net_config;
-  net_config.default_one_way_latency_micros = 50;
-  SimNetwork network(net_config);
-  QuorumLogletConfig config;
-  config.num_acceptors = 3;
-  QuorumEnsemble ensemble(&network, config);
-  QuorumLogletClient client(&network, "client0", config);
+class QuorumTailMemoTest : public testing::Test {
+ protected:
+  QuorumTailMemoTest() {
+    NetworkConfig net_config;
+    net_config.default_one_way_latency_micros = 50;
+    network_ = std::make_unique<SimNetwork>(net_config);
+    QuorumLogletConfig config;
+    config.num_acceptors = 3;
+    ensemble_ = std::make_unique<QuorumEnsemble>(network_.get(), config);
+    client_ = std::make_unique<QuorumLogletClient>(network_.get(), "client0", config);
+  }
 
+  // The network's delivery thread may still run retransmits into the
+  // ensemble, so it stops before the ensemble is destroyed.
+  ~QuorumTailMemoTest() override {
+    client_.reset();
+    network_.reset();
+    ensemble_.reset();
+  }
+
+  std::unique_ptr<SimNetwork> network_;
+  std::unique_ptr<QuorumEnsemble> ensemble_;
+  std::unique_ptr<QuorumLogletClient> client_;
+};
+
+TEST_F(QuorumTailMemoTest, SkipsTailRpcWhenMemoCoversRange) {
   constexpr int kRecords = 20;
   for (int i = 0; i < kRecords; ++i) {
-    client.Append("v" + std::to_string(i)).Get();
+    client_->Append("v" + std::to_string(i)).Get();
   }
   // Every committed append advanced the memoized tail.
-  EXPECT_EQ(client.observed_tail(), static_cast<LogPos>(kRecords + 1));
+  EXPECT_EQ(client_->observed_tail(), static_cast<LogPos>(kRecords + 1));
 
-  const uint64_t messages_before = network.MessageCount();
-  auto records = client.ReadRange(1, kRecords);
+  const uint64_t messages_before = network_->MessageCount();
+  auto records = client_->ReadRange(1, kRecords);
   ASSERT_EQ(records.size(), static_cast<size_t>(kRecords));
-  EXPECT_EQ(client.tail_checks_skipped(), 1u);
+  EXPECT_EQ(client_->tail_checks_skipped(), 1u);
   // One acceptor sweep (request + reply), no q.tail round trip.
-  EXPECT_EQ(network.MessageCount() - messages_before, 2u);
+  EXPECT_EQ(network_->MessageCount() - messages_before, 2u);
 
   // A range beyond the memoized tail still pays the tail check.
-  auto suffix = client.ReadRange(15, kRecords + 10);
+  auto suffix = client_->ReadRange(15, kRecords + 10);
   ASSERT_EQ(suffix.size(), static_cast<size_t>(kRecords - 14));
-  EXPECT_EQ(client.tail_checks_skipped(), 1u);
+  EXPECT_EQ(client_->tail_checks_skipped(), 1u);
 }
 
 // Regression: sealing must invalidate the memoized tail. The memo may cover
@@ -426,32 +443,24 @@ TEST(QuorumTailMemoTest, SkipsTailRpcWhenMemoCoversRange) {
 // successor loglet. A stale memo would let ReadRange skip the q.tail check
 // and treat such a position as committed (a phantom read); post-seal reads
 // must go back to paying the tail round trip.
-TEST(QuorumTailMemoTest, SealClearsTheMemoSoReadsRecheckTail) {
-  NetworkConfig net_config;
-  net_config.default_one_way_latency_micros = 50;
-  SimNetwork network(net_config);
-  QuorumLogletConfig config;
-  config.num_acceptors = 3;
-  QuorumEnsemble ensemble(&network, config);
-  QuorumLogletClient client(&network, "client0", config);
-
+TEST_F(QuorumTailMemoTest, SealClearsTheMemoSoReadsRecheckTail) {
   constexpr int kRecords = 8;
   for (int i = 0; i < kRecords; ++i) {
-    client.Append("v" + std::to_string(i)).Get();
+    client_->Append("v" + std::to_string(i)).Get();
   }
-  ASSERT_EQ(client.observed_tail(), static_cast<LogPos>(kRecords + 1));
-  auto records = client.ReadRange(1, kRecords);
+  ASSERT_EQ(client_->observed_tail(), static_cast<LogPos>(kRecords + 1));
+  auto records = client_->ReadRange(1, kRecords);
   ASSERT_EQ(records.size(), static_cast<size_t>(kRecords));
-  ASSERT_EQ(client.tail_checks_skipped(), 1u);
+  ASSERT_EQ(client_->tail_checks_skipped(), 1u);
 
-  client.Seal();
-  EXPECT_EQ(client.observed_tail(), 0u);
+  client_->Seal();
+  EXPECT_EQ(client_->observed_tail(), 0u);
 
   // Committed entries are still readable on the sealed loglet, but the read
   // pays the tail check again instead of trusting the pre-seal memo.
-  auto again = client.ReadRange(1, kRecords);
+  auto again = client_->ReadRange(1, kRecords);
   ASSERT_EQ(again.size(), static_cast<size_t>(kRecords));
-  EXPECT_EQ(client.tail_checks_skipped(), 1u);
+  EXPECT_EQ(client_->tail_checks_skipped(), 1u);
 }
 
 // --- Sim conformance: cache on/off verdict identity ---

@@ -242,10 +242,8 @@ TEST(TwoPhaseInsertionTest, EnableViaLogIsConsistentAcrossServers) {
   options_b.server_id = "b";
   BaseEngine base_b(log, &store_b, options_b);
 
-  StackableEngineOptions disabled;
-  disabled.start_enabled = false;
-  StackableEngine engine_a("probe", &base_a, &store_a, disabled);
-  StackableEngine engine_b("probe", &base_b, &store_b, disabled);
+  StackableEngine engine_a("probe", &base_a, &store_a, /*start_enabled=*/false);
+  StackableEngine engine_b("probe", &base_b, &store_b, /*start_enabled=*/false);
   engine_a.RegisterUpcall(&app_a);
   engine_b.RegisterUpcall(&app_b);
   base_a.Start();

@@ -15,7 +15,6 @@
 
 #include "src/backup/backup_store.h"
 #include "src/common/trace.h"
-#include "src/core/apply_profiler.h"
 #include "src/core/cluster.h"
 #include "src/engines/compression_engine.h"
 #include "src/engines/stacks.h"
@@ -60,17 +59,12 @@ class TraceTest : public ::testing::Test {
       config.lease_ttl_micros = 600'000'000;  // nobody acquires; nothing expires
       config.observers = true;
       BuildStack(server, config);
-      CompressionEngine::Options copt;
-      copt.profiler = server.profiler();
-      copt.metrics = server.metrics();
-      server.AddEngine<CompressionEngine>(copt);
+      server.AddEngine<CompressionEngine>(CompressionEngine::Options{});
 
+      // The production path: the server's app tap records app.apply.
       auto app = std::make_unique<NoopApplicator>();
-      auto traced =
-          std::make_unique<TracedApplicator>(app.get(), tracer_.get(), server.id());
-      server.top()->RegisterUpcall(traced.get());
+      server.RegisterApplicator(app.get());
       apps_.push_back(std::move(app));
-      traced_apps_.push_back(std::move(traced));
     });
   }
 
@@ -80,7 +74,6 @@ class TraceTest : public ::testing::Test {
   std::unique_ptr<Tracer> tracer_;
   InMemoryBackupStore backup_;
   std::vector<std::unique_ptr<NoopApplicator>> apps_;
-  std::vector<std::unique_ptr<TracedApplicator>> traced_apps_;
   std::unique_ptr<Cluster> cluster_;
 };
 
