@@ -3,7 +3,11 @@
 // appends. These establish the per-op floor the figure benches sit on.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "src/common/checksum.h"
+#include "src/common/random.h"
 #include "src/common/serde.h"
 #include "src/core/entry.h"
 #include "src/localstore/localstore.h"
@@ -41,6 +45,43 @@ void BM_LocalStoreBatchedCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_LocalStoreBatchedCommit)->Arg(8)->Arg(64);
+
+void BM_LocalStoreOverwriteHeavyCommit(benchmark::State& state) {
+  // The catch-up shape: one group-commit transaction of 5,000 Puts of
+  // 100-byte values over 1,000 existing keys (uniform, so each key is
+  // rewritten about five times). Only Commit and the transaction's
+  // destruction are timed, not the staging Puts.
+  constexpr int kKeys = 1000;
+  constexpr int kPuts = 5000;
+  LocalStore store;
+  std::vector<std::string> keys;
+  for (int k = 0; k < kKeys; ++k) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "z/n/k%04d", k);
+    keys.emplace_back(key);
+  }
+  {
+    RWTxn txn = store.BeginRW();
+    for (const std::string& key : keys) {
+      txn.Put(key, std::string(100, 'v'));
+    }
+    txn.Commit();
+  }
+  Rng rng(16);
+  std::string value(100, 'v');
+  for (auto _ : state) {
+    state.PauseTiming();
+    RWTxn txn = store.BeginRW();
+    for (int i = 0; i < kPuts; ++i) {
+      value[i % value.size()] = static_cast<char>('a' + i % 26);
+      txn.Put(keys[static_cast<size_t>(rng.Uniform(0, kKeys - 1))], value);
+    }
+    state.ResumeTiming();
+    txn.Commit();
+  }
+  state.SetItemsProcessed(state.iterations() * kPuts);
+}
+BENCHMARK(BM_LocalStoreOverwriteHeavyCommit);
 
 void BM_LocalStoreSnapshotGet(benchmark::State& state) {
   LocalStore store;

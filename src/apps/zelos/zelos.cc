@@ -26,6 +26,28 @@ void WriteStat(Serializer& ser, const Stat& stat) {
   ser.WriteVarint(stat.ephemeral_owner);
 }
 
+// Encoded size of WriteStat's output.
+size_t StatSize(const Stat& stat) {
+  const auto zigzag = [](int64_t v) {
+    return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+  };
+  return Serializer::VarintSize(stat.czxid) + Serializer::VarintSize(stat.mzxid) +
+         Serializer::VarintSize(zigzag(stat.version)) +
+         Serializer::VarintSize(zigzag(stat.cversion)) +
+         Serializer::VarintSize(stat.ephemeral_owner);
+}
+
+// The node record layout: data, stat, sequential-child counter. The buffer
+// is sized exactly, so it is allocated once and never grows.
+std::string EncodeNode(std::string_view data, const Stat& stat, uint64_t seq_counter) {
+  Serializer ser(Serializer::StringSize(data) + StatSize(stat) +
+                 Serializer::VarintSize(seq_counter));
+  ser.WriteString(data);
+  WriteStat(ser, stat);
+  ser.WriteVarint(seq_counter);
+  return ser.Release();
+}
+
 Stat ReadStat(Deserializer& de) {
   Stat stat;
   stat.czxid = de.ReadVarint();
@@ -102,11 +124,7 @@ std::string ZelosApplicator::EphemeralPrefix(SessionId id) {
 // --- node record ---
 
 std::string ZelosApplicator::NodeRecord::Encode() const {
-  Serializer ser;
-  ser.WriteString(data);
-  WriteStat(ser, stat);
-  ser.WriteVarint(seq_counter);
-  return ser.Release();
+  return EncodeNode(data, stat, seq_counter);
 }
 
 ZelosApplicator::NodeRecord ZelosApplicator::NodeRecord::Decode(std::string_view bytes) {
@@ -233,17 +251,26 @@ void ZelosApplicator::DoDelete(RWTxn& txn, const std::string& path, int64_t expe
 }
 
 int64_t ZelosApplicator::DoSetData(RWTxn& txn, LogPos pos, const std::string& path,
-                                   const std::string& data, int64_t expected_version) {
-  NodeRecord node = GetNode(txn, path);
-  if (expected_version >= 0 && node.stat.version != expected_version) {
+                                   std::string_view data, int64_t expected_version) {
+  std::string key = NodeKey(path);
+  const auto bytes = txn.Get(key);
+  if (!bytes.has_value()) {
+    throw NoNodeError(path);
+  }
+  // Only the stat and the counter survive a SetData: read past the old data
+  // without copying it, then encode the record afresh around the new data.
+  Deserializer de(*bytes);
+  de.ReadStringView();
+  Stat stat = ReadStat(de);
+  const uint64_t seq_counter = de.ReadVarint();
+  if (expected_version >= 0 && stat.version != expected_version) {
     throw BadVersionError(path);
   }
-  node.data = data;
-  node.stat.version += 1;
-  node.stat.mzxid = pos;
-  txn.Put(NodeKey(path), node.Encode());
+  stat.version += 1;
+  stat.mzxid = pos;
+  txn.PutOwned(std::move(key), EncodeNode(data, stat, seq_counter));
   pending_events_.push_back({WatchEvent::Type::kDataChanged, path});
-  return node.stat.version;
+  return stat.version;
 }
 
 void ZelosApplicator::set_metrics(MetricsRegistry* metrics) {
@@ -359,7 +386,7 @@ std::any ZelosApplicator::ApplyOp(RWTxn& txn, const LogEntry& entry, LogPos pos)
     }
     case ZelosClient::kSetData: {
       const std::string path = op.args().ReadString();
-      const std::string data = op.args().ReadString();
+      const std::string_view data = op.args().ReadStringView();
       const int64_t version = op.args().ReadSigned();
       return std::any(DoSetData(txn, pos, path, data, version));
     }

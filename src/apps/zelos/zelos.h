@@ -145,7 +145,7 @@ class ZelosApplicator : public IApplicator, public IHealthCheckable {
   std::string DoCreate(RWTxn& txn, LogPos pos, SessionId session, const std::string& path,
                        const std::string& data, uint32_t flags);
   void DoDelete(RWTxn& txn, const std::string& path, int64_t expected_version);
-  int64_t DoSetData(RWTxn& txn, LogPos pos, const std::string& path, const std::string& data,
+  int64_t DoSetData(RWTxn& txn, LogPos pos, const std::string& path, std::string_view data,
                     int64_t expected_version);
   void DoCloseSession(RWTxn& txn, SessionId session);
   void CheckSession(RWTxn& txn, SessionId session);

@@ -114,6 +114,11 @@ class Deserializer {
   explicit Deserializer(std::string_view data) : data_(data) {}
 
   uint64_t ReadVarint() {
+    // One-byte varints (lengths, op codes, small counters) are the common
+    // case; they skip the loop.
+    if (pos_ < data_.size() && (static_cast<unsigned char>(data_[pos_]) & 0x80) == 0) {
+      return static_cast<unsigned char>(data_[pos_++]);
+    }
     uint64_t value = 0;
     int shift = 0;
     while (true) {

@@ -138,9 +138,10 @@ std::any StackableEngine::Apply(RWTxn& txn, const LogEntry& entry, LogPos pos) {
 }
 
 std::any StackableEngine::ApplyImpl(RWTxn& txn, const LogEntry& entry, LogPos pos) {
-  // Borrowed header peek: the app-data hot path only needs the msgtype, so
-  // no blob is copied; the control path materializes the header it consumes.
-  // Stashed for the hooks (apply_header()) so they never look it up again.
+  // Borrowed header peek: no blob is copied, on the data path (which only
+  // needs the msgtype) or the control path (whose hooks read the blob in
+  // place). Stashed for the hooks (apply_header()) so they never look it up
+  // again.
   apply_header_ = entry.GetHeaderView(name_);
   const std::optional<EngineHeaderView>& header = apply_header_;
   if (header.has_value() && header->msgtype != kMsgTypeApp) {
@@ -158,7 +159,7 @@ std::any StackableEngine::ApplyImpl(RWTxn& txn, const LogEntry& entry, LogPos po
     }
     const Savepoint savepoint = txn.MakeSavepoint();
     try {
-      return ApplyControl(txn, header->Materialize(), entry, pos);
+      return ApplyControl(txn, *header, entry, pos);
     } catch (const DeterministicError&) {
       txn.RollbackTo(savepoint);
       return std::any(ApplyError{std::current_exception()});
@@ -238,7 +239,7 @@ void StackableEngine::PostApply(const LogEntry& entry, LogPos pos) {
       return;
     }
     if (enabled()) {
-      PostApplyControl(header->Materialize(), entry, pos);
+      PostApplyControl(*header, entry, pos);
     }
     return;
   }

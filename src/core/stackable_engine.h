@@ -127,15 +127,17 @@ class StackableEngine : public IEngine, public IApplicator, public IHealthChecka
   }
 
   // Applies an engine-generated control entry while enabled. The entry is
-  // not forwarded upstream. Default: nothing.
-  virtual std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
+  // not forwarded upstream. `header` borrows from `entry` (valid for the
+  // call). Default: nothing.
+  virtual std::any ApplyControl(RWTxn& txn, const EngineHeaderView& header, const LogEntry& entry,
                                 LogPos pos) {
     return std::any(Unit{});
   }
 
   // Post-apply hooks (soft state only; the transaction has committed).
   virtual void PostApplyData(const LogEntry& entry, LogPos pos) { ForwardPostApply(entry, pos); }
-  virtual void PostApplyControl(const EngineHeader& header, const LogEntry& entry, LogPos pos) {}
+  virtual void PostApplyControl(const EngineHeaderView& header, const LogEntry& entry,
+                                LogPos pos) {}
 
   // Invokes the upstream apply inside a nested sub-transaction; converts a
   // deterministic throw into an ApplyError value after rolling it back.

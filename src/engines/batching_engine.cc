@@ -19,15 +19,20 @@ std::string EncodeBatch(const std::vector<LogEntry>& entries) {
   return ser.Release();
 }
 
-std::vector<LogEntry> DecodeBatch(const std::string& blob) {
+// Decodes a batch blob into `entries`, reusing the LogEntry objects already
+// there (see BatchingEngine::spare_batches_). The claimed count is not
+// trusted for sizing: the vector grows one decoded entry at a time.
+void DecodeBatch(std::string_view blob, std::vector<LogEntry>* entries) {
   Deserializer de(blob);
   const uint64_t count = de.ReadVarint();
-  std::vector<LogEntry> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    entries.push_back(LogEntry::Deserialize(de.ReadString()));
+  size_t decoded = 0;
+  for (; decoded < count; ++decoded) {
+    if (decoded == entries->size()) {
+      entries->emplace_back();
+    }
+    LogEntry::DeserializeInto(de.ReadStringView(), &(*entries)[decoded]);
   }
-  return entries;
+  entries->resize(decoded);
 }
 
 }  // namespace
@@ -225,36 +230,53 @@ HealthReport BatchingEngine::HealthCheck() const {
   return report;
 }
 
-std::any BatchingEngine::ApplyControl(RWTxn& txn, const EngineHeader& header,
+std::any BatchingEngine::ApplyControl(RWTxn& txn, const EngineHeaderView& header,
                                       const LogEntry& entry, LogPos pos) {
   if (header.msgtype != kMsgTypeBatch) {
     return std::any(Unit{});
   }
-  // Group commit: every sub-entry applies within this one transaction.
-  AppliedBatch applied;
-  applied.entries = DecodeBatch(header.blob);
-  applied.ok.assign(applied.entries.size(), false);
-  std::vector<std::any> results;
-  results.reserve(applied.entries.size());
-  for (size_t i = 0; i < applied.entries.size(); ++i) {
-    std::any result = CallUpstream(txn, applied.entries[i], pos);
-    applied.ok[i] = !IsApplyError(result);
-    results.push_back(std::move(result));
+  // Group commit: every sub-entry applies within this one transaction. The
+  // sub-entries whose upstream apply ran (the ones owed a postApply) are
+  // compacted to the front and parked for PostApplyControl.
+  std::vector<LogEntry> entries;
+  if (!spare_batches_.empty()) {
+    entries = std::move(spare_batches_.back());
+    spare_batches_.pop_back();
   }
-  applying_carry_.Push(pos, std::move(applied));
+  DecodeBatch(header.blob, &entries);
+  std::vector<std::any> results;
+  results.reserve(entries.size());
+  size_t applied = 0;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    results.push_back(CallUpstream(txn, entries[i], pos));
+    if (!IsApplyError(results.back())) {
+      if (applied != i) {
+        entries[applied] = std::move(entries[i]);
+      }
+      ++applied;
+    }
+  }
+  entries.resize(applied);
+  applying_carry_.Push(pos, std::move(entries));
   return std::any(std::move(results));
 }
 
-void BatchingEngine::PostApplyControl(const EngineHeader& header, const LogEntry& entry,
+void BatchingEngine::PostApplyControl(const EngineHeaderView& header, const LogEntry& entry,
                                       LogPos pos) {
-  if (header.msgtype != kMsgTypeBatch || upstream() == nullptr) {
+  if (header.msgtype != kMsgTypeBatch) {
     return;
   }
-  const AppliedBatch applied = applying_carry_.Take(pos).value_or(AppliedBatch{});
-  for (size_t i = 0; i < applied.entries.size(); ++i) {
-    if (applied.ok[i]) {
-      upstream()->PostApply(applied.entries[i], pos);
-    }
+  std::optional<std::vector<LogEntry>> applied = applying_carry_.Take(pos);
+  if (!applied.has_value() || upstream() == nullptr) {
+    return;
+  }
+  size_t retained_bytes = 0;
+  for (const LogEntry& sub : *applied) {
+    upstream()->PostApply(sub, pos);
+    retained_bytes += sub.payload.capacity();
+  }
+  if (spare_batches_.size() < kMaxSpareBatches && retained_bytes <= kMaxSpareBatchBytes) {
+    spare_batches_.push_back(std::move(*applied));
   }
 }
 

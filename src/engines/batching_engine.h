@@ -50,9 +50,9 @@ class BatchingEngine : public StackableEngine {
   uint64_t entries_batched() const { return entries_batched_.load(std::memory_order_relaxed); }
 
  protected:
-  std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
+  std::any ApplyControl(RWTxn& txn, const EngineHeaderView& header, const LogEntry& entry,
                         LogPos pos) override;
-  void PostApplyControl(const EngineHeader& header, const LogEntry& entry, LogPos pos) override;
+  void PostApplyControl(const EngineHeaderView& header, const LogEntry& entry, LogPos pos) override;
 
  private:
   static constexpr uint64_t kMsgTypeBatch = 1;
@@ -84,13 +84,18 @@ class BatchingEngine : public StackableEngine {
   std::atomic<uint64_t> entries_batched_{0};
   TimerScheduler scheduler_;
 
-  // Apply-thread-only scratch parked per position: decoded sub-entries of an
-  // applied batch and whether each sub-apply ran (for postApply forwarding).
-  struct AppliedBatch {
-    std::vector<LogEntry> entries;
-    std::vector<bool> ok;
-  };
-  ApplyCarry<AppliedBatch> applying_carry_;
+  // Apply-thread-only scratch parked per position: the decoded sub-entries
+  // of an applied batch whose upstream apply ran (they are owed a
+  // postApply).
+  ApplyCarry<std::vector<LogEntry>> applying_carry_;
+  // Decoded batches whose postApply is done, kept so the next batches decode
+  // into their entries instead of allocating every header node and payload
+  // afresh (a replayed batch record carries up to 64 sub-entries). Bounded
+  // by count (one default group-commit batch of records) and by the payload
+  // bytes each one retains. Apply thread only.
+  static constexpr size_t kMaxSpareBatches = 128;
+  static constexpr size_t kMaxSpareBatchBytes = 64 * 1024;
+  std::vector<std::vector<LogEntry>> spare_batches_;
 };
 
 }  // namespace delos

@@ -23,7 +23,7 @@ Future<std::any> BrainDoctorEngine::ApplyRawWrites(std::vector<RawWrite> writes)
   return ProposeControl(kMsgTypeWriteBatch, ser.Release());
 }
 
-std::any BrainDoctorEngine::ApplyControl(RWTxn& txn, const EngineHeader& header,
+std::any BrainDoctorEngine::ApplyControl(RWTxn& txn, const EngineHeaderView& header,
                                          const LogEntry& entry, LogPos pos) {
   if (header.msgtype != kMsgTypeWriteBatch) {
     return std::any(Unit{});

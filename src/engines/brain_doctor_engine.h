@@ -34,7 +34,7 @@ class BrainDoctorEngine : public StackableEngine {
   Future<std::any> ApplyRawWrites(std::vector<RawWrite> writes);
 
  protected:
-  std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
+  std::any ApplyControl(RWTxn& txn, const EngineHeaderView& header, const LogEntry& entry,
                         LogPos pos) override;
 
  private:

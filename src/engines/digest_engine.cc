@@ -144,8 +144,8 @@ std::any DigestEngine::ApplyData(RWTxn& txn, const LogEntry& entry, LogPos pos) 
   return CallUpstream(txn, entry, pos);
 }
 
-std::any DigestEngine::ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
-                                    LogPos pos) {
+std::any DigestEngine::ApplyControl(RWTxn& txn, const EngineHeaderView& header,
+                                    const LogEntry& entry, LogPos pos) {
   if (header.msgtype == kMsgTypeBeacon) {
     ProcessBeacon(txn, header.blob, entry, pos);
   }
@@ -260,7 +260,7 @@ void DigestEngine::PostApplyData(const LogEntry& entry, LogPos pos) {
   ForwardPostApply(entry, pos);
 }
 
-void DigestEngine::PostApplyControl(const EngineHeader& header, const LogEntry& entry,
+void DigestEngine::PostApplyControl(const EngineHeaderView& header, const LogEntry& entry,
                                     LogPos pos) {
   if (auto sample = sample_carry_.Take(pos); sample.has_value()) {
     std::lock_guard<std::mutex> lock(soft_mu_);

@@ -96,10 +96,10 @@ class DigestEngine : public StackableEngine {
  protected:
   void OnPropose(LogEntry* entry) override;
   std::any ApplyData(RWTxn& txn, const LogEntry& entry, LogPos pos) override;
-  std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
+  std::any ApplyControl(RWTxn& txn, const EngineHeaderView& header, const LogEntry& entry,
                         LogPos pos) override;
   void PostApplyData(const LogEntry& entry, LogPos pos) override;
-  void PostApplyControl(const EngineHeader& header, const LogEntry& entry, LogPos pos) override;
+  void PostApplyControl(const EngineHeaderView& header, const LogEntry& entry, LogPos pos) override;
 
  private:
   static constexpr uint64_t kMsgTypeBeacon = 1;

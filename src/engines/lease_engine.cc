@@ -125,8 +125,8 @@ std::any LeaseEngine::ApplyData(RWTxn& txn, const LogEntry& entry, LogPos pos) {
   return CallUpstream(txn, entry, pos);
 }
 
-std::any LeaseEngine::ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
-                                   LogPos pos) {
+std::any LeaseEngine::ApplyControl(RWTxn& txn, const EngineHeaderView& header,
+                                   const LogEntry& entry, LogPos pos) {
   const std::string state_key = space().Key("state");
 
   if (header.msgtype == kMsgTypeAcquire) {
@@ -178,7 +178,7 @@ std::any LeaseEngine::ApplyControl(RWTxn& txn, const EngineHeader& header, const
   return std::any(Unit{});
 }
 
-void LeaseEngine::PostApplyControl(const EngineHeader& header, const LogEntry& entry,
+void LeaseEngine::PostApplyControl(const EngineHeaderView& header, const LogEntry& entry,
                                    LogPos pos) {
   const LeaseCarry carry = lease_carry_.Take(pos).value_or(LeaseCarry{});
   const LeaseState state = ReadStateSnapshot();

@@ -39,7 +39,7 @@ std::string EncodeSegmentMsg(uint64_t segment, const std::string& server) {
   return ser.Release();
 }
 
-std::pair<uint64_t, std::string> DecodeSegmentMsg(const std::string& blob) {
+std::pair<uint64_t, std::string> DecodeSegmentMsg(std::string_view blob) {
   Deserializer de(blob);
   const uint64_t segment = de.ReadVarint();
   std::string server = de.ReadString();
@@ -76,7 +76,7 @@ std::any LogBackupEngine::ApplyData(RWTxn& txn, const LogEntry& entry, LogPos po
   return CallUpstream(txn, entry, pos);
 }
 
-std::any LogBackupEngine::ApplyControl(RWTxn& txn, const EngineHeader& header,
+std::any LogBackupEngine::ApplyControl(RWTxn& txn, const EngineHeaderView& header,
                                        const LogEntry& entry, LogPos pos) {
   if (header.msgtype == kMsgTypeBid) {
     auto [segment, bidder] = DecodeSegmentMsg(header.blob);
@@ -131,7 +131,7 @@ void LogBackupEngine::PostApplyData(const LogEntry& entry, LogPos pos) {
   ForwardPostApply(entry, pos);
 }
 
-void LogBackupEngine::PostApplyControl(const EngineHeader& header, const LogEntry& entry,
+void LogBackupEngine::PostApplyControl(const EngineHeaderView& header, const LogEntry& entry,
                                        LogPos pos) {
   if (header.msgtype == kMsgTypeBid) {
     const uint64_t won = won_segment_carry_.Take(pos).value_or(kNoSegment);

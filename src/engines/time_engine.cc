@@ -80,7 +80,7 @@ bool TimeEngine::IsFired(const std::string& id) const {
   return state.has_value() && TimerState::Decode(*state).fired;
 }
 
-std::any TimeEngine::ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
+std::any TimeEngine::ApplyControl(RWTxn& txn, const EngineHeaderView& header, const LogEntry& entry,
                                   LogPos pos) {
   std::any result = ApplyControlImpl(txn, header, entry, pos);
   // Park the scratch for this position: the group-commit pipeline applies a
@@ -93,7 +93,7 @@ std::any TimeEngine::ApplyControl(RWTxn& txn, const EngineHeader& header, const 
   return result;
 }
 
-std::any TimeEngine::ApplyControlImpl(RWTxn& txn, const EngineHeader& header,
+std::any TimeEngine::ApplyControlImpl(RWTxn& txn, const EngineHeaderView& header,
                                       const LogEntry& entry, LogPos pos) {
   just_fired_id_.clear();
   just_created_id_.clear();
@@ -144,7 +144,8 @@ std::any TimeEngine::ApplyControlImpl(RWTxn& txn, const EngineHeader& header,
   return std::any(Unit{});
 }
 
-void TimeEngine::PostApplyControl(const EngineHeader& header, const LogEntry& entry, LogPos pos) {
+void TimeEngine::PostApplyControl(const EngineHeaderView& header, const LogEntry& entry,
+                                  LogPos pos) {
   const TimerCarry carry = timer_carry_.Take(pos).value_or(TimerCarry{});
   if (!carry.created_id.empty()) {
     // Start the local countdown; when it expires on this server's clock,

@@ -53,15 +53,15 @@ class TimeEngine : public StackableEngine {
   bool IsFired(const std::string& id) const;
 
  protected:
-  std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
+  std::any ApplyControl(RWTxn& txn, const EngineHeaderView& header, const LogEntry& entry,
                         LogPos pos) override;
-  void PostApplyControl(const EngineHeader& header, const LogEntry& entry, LogPos pos) override;
+  void PostApplyControl(const EngineHeaderView& header, const LogEntry& entry, LogPos pos) override;
 
  private:
   static constexpr uint64_t kMsgTypeCreate = 1;
   static constexpr uint64_t kMsgTypeElapsed = 2;
 
-  std::any ApplyControlImpl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
+  std::any ApplyControlImpl(RWTxn& txn, const EngineHeaderView& header, const LogEntry& entry,
                             LogPos pos);
 
   Options options_;

@@ -102,7 +102,7 @@ std::any ViewTrackingEngine::ApplyData(RWTxn& txn, const LogEntry& entry, LogPos
   return CallUpstream(txn, entry, pos);
 }
 
-std::any ViewTrackingEngine::ApplyControl(RWTxn& txn, const EngineHeader& header,
+std::any ViewTrackingEngine::ApplyControl(RWTxn& txn, const EngineHeaderView& header,
                                           const LogEntry& entry, LogPos pos) {
   if (header.msgtype == kMsgTypeHeartbeat) {
     Deserializer de(header.blob);
@@ -140,7 +140,7 @@ void ViewTrackingEngine::RecomputeTrimOpinion(RWTxn& txn) {
   }
 }
 
-void ViewTrackingEngine::PostApplyControl(const EngineHeader& header, const LogEntry& entry,
+void ViewTrackingEngine::PostApplyControl(const EngineHeaderView& header, const LogEntry& entry,
                                           LogPos pos) {
   if (pending_trim_opinion_ != kNoTrimConstraint) {
     SetOwnTrimOpinion(pending_trim_opinion_);

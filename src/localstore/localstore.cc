@@ -92,6 +92,8 @@ RWTxn& RWTxn::operator=(RWTxn&& other) noexcept {
     base_version_ = other.base_version_;
     ops_ = std::move(other.ops_);
     write_index_ = std::move(other.write_index_);
+    index_hint_ = write_index_.end();
+    other.index_hint_ = other.write_index_.end();
     prev_index_ = std::move(other.prev_index_);
     digest_cache_ = other.digest_cache_;
     digest_cached_ops_ = other.digest_cached_ops_;
@@ -117,6 +119,11 @@ void RWTxn::Put(std::string_view key, std::string_view value) {
   RecordWrite();
 }
 
+void RWTxn::PutOwned(std::string key, std::string value) {
+  ops_.push_back(Op{std::move(key), std::move(value)});
+  RecordWrite();
+}
+
 void RWTxn::Delete(std::string_view key) {
   ops_.push_back(Op{std::string(key), std::nullopt});
   RecordWrite();
@@ -124,17 +131,27 @@ void RWTxn::Delete(std::string_view key) {
 
 void RWTxn::RecordWrite() {
   const size_t index = ops_.size() - 1;
-  auto [it, inserted] = write_index_.try_emplace(ops_[index].key, index);
+  const size_t keys_before = write_index_.size();
+  auto it = write_index_.try_emplace(index_hint_, ops_[index].key, index);
+  const bool inserted = write_index_.size() != keys_before;
   prev_index_.push_back(inserted ? std::nullopt : std::make_optional(it->second));
   it->second = index;
 }
 
 std::optional<std::string> RWTxn::Get(std::string_view key) const {
-  auto it = write_index_.find(key);
-  if (it != write_index_.end()) {
+  auto it = write_index_.lower_bound(key);
+  index_hint_ = it;
+  if (it != write_index_.end() && it->first == key) {
     return ops_[it->second].value;
   }
-  std::shared_lock<std::shared_mutex> lock(store_->data_mu_);
+  // Committed state is read without data_mu_. BeginRW's CAS on
+  // writer_active_ admits one live RWTxn per store, and only that
+  // transaction's own Commit mutates data_ (Open's checkpoint load runs
+  // before any transaction exists). So while this transaction lives, every
+  // other thread only reads data_ (under the shared lock), and reads do not
+  // race with reads. The CAS's acquire pairs with the previous writer's
+  // release in ReleaseWriter, so a transaction begun on another thread sees
+  // every earlier commit.
   auto chain_it = store_->data_.find(key);
   if (chain_it == store_->data_.end()) {
     return std::nullopt;
@@ -289,6 +306,7 @@ void RWTxn::RollbackTo(const Savepoint& savepoint) {
       write_index_.erase(ops_[i].key);
     }
   }
+  index_hint_ = write_index_.end();
   ops_.resize(savepoint.op_count);
   prev_index_.resize(savepoint.op_count);
   // Ops already folded into the digest cache were discarded: drop the cache
@@ -304,7 +322,7 @@ void RWTxn::Commit() {
   }
   LocalStore* store = store_;
   try {
-    store->CommitBatch(ops_);
+    store->CommitBatch(*this);
   } catch (...) {
     // A failed commit still ends the transaction (and frees the writer
     // slot); the batch is lost.
@@ -360,10 +378,17 @@ RWTxn LocalStore::BeginRW() {
 }
 
 ROTxn LocalStore::Snapshot() {
+  // Read the version and register it under the shared lock: CommitBatch
+  // holds the lock exclusively from reading the oldest live snapshot to
+  // publishing the new version, so a snapshot is either registered before a
+  // commit compacts (and keeps its versions alive) or reads the version that
+  // commit publishes. Registering after a commit had compacted away the
+  // snapshot's own version made live keys read as absent.
+  std::shared_lock<std::shared_mutex> lock(data_mu_);
   return ROTxn(std::make_shared<internal::SnapshotHandle>(this, committed_version()));
 }
 
-void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops) {
+void LocalStore::CommitBatch(RWTxn& txn) {
   if (fault_injected_.exchange(false, std::memory_order_acq_rel)) {
     throw StoreError("injected commit fault (out of space)");
   }
@@ -374,27 +399,35 @@ void LocalStore::CommitBatch(std::vector<RWTxn::Op>& ops) {
     std::lock_guard<std::mutex> snap_lock(snapshots_mu_);
     min_active = MinActiveSnapshotLocked();
   }
-  for (auto& op : ops) {
-    Chain& chain = data_[op.key];
-    // Maintain the live-content checksum.
-    std::optional<std::string> old_live;
-    if (!chain.empty()) {
-      old_live = chain.back().value;
+  const uint64_t horizon = std::min(min_active, new_version);
+  // Only each key's last staged op reaches the store: the earlier ones were
+  // overwritten inside this version, so no snapshot can observe them, and
+  // their checksum terms telescope away (XOR out the committed pair, XOR in
+  // the last staged one). write_index_ maps every staged key to that op, in
+  // key order, so a group-commit batch that rewrites a hot key many times
+  // commits it once.
+  for (const auto& [key, index] : txn.write_index_) {
+    RWTxn::Op& op = txn.ops_[index];
+    auto it = data_.lower_bound(key);
+    if (it == data_.end() || it->first != key) {
+      // A fresh key. A delete of it leaves a tombstone only while a snapshot
+      // is live (CompactChainLocked below would drop it otherwise).
+      if (!op.value.has_value() && horizon == new_version) {
+        continue;
+      }
+      it = data_.emplace_hint(it, std::move(op.key), Chain{});
     }
-    if (old_live.has_value()) {
-      checksum_.Remove(op.key, *old_live);
+    Chain& chain = it->second;
+    if (!chain.empty() && chain.back().value.has_value()) {
+      checksum_.Remove(it->first, *chain.back().value);
     }
     if (op.value.has_value()) {
-      checksum_.Add(op.key, *op.value);
+      checksum_.Add(it->first, *op.value);
     }
-    if (!chain.empty() && chain.back().version == new_version) {
-      chain.back().value = std::move(op.value);
-    } else {
-      chain.push_back(VersionedValue{new_version, std::move(op.value)});
-    }
-    CompactChainLocked(op.key, chain, std::min(min_active, new_version));
-    if (data_[op.key].empty()) {
-      data_.erase(op.key);
+    chain.push_back(VersionedValue{new_version, std::move(op.value)});
+    CompactChainLocked(chain, horizon);
+    if (chain.empty()) {
+      data_.erase(it);
     }
   }
   committed_version_.store(new_version, std::memory_order_release);
@@ -410,7 +443,7 @@ std::optional<std::string> LocalStore::ValueAt(const Chain& chain, uint64_t vers
   return std::nullopt;
 }
 
-void LocalStore::CompactChainLocked(const std::string& key, Chain& chain, uint64_t min_active) {
+void LocalStore::CompactChainLocked(Chain& chain, uint64_t min_active) {
   // Keep the newest version <= min_active (some snapshot may read it) and
   // everything after; drop older ones. Drop a trailing tombstone nothing can
   // observe.

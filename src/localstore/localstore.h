@@ -102,9 +102,15 @@ class RWTxn {
   bool valid() const { return store_ != nullptr; }
 
   void Put(std::string_view key, std::string_view value);
+  // Put for strings the caller owns and no longer needs: they are moved into
+  // the batch instead of copied. (A Put(std::string&&, std::string&&)
+  // overload would make Put("k", "v") ambiguous.)
+  void PutOwned(std::string key, std::string value);
   void Delete(std::string_view key);
 
-  // Read-your-writes: checks the write batch, then the committed state.
+  // Read-your-writes: checks the write batch, then the committed state
+  // (without taking the store's lock; see the single-writer argument in
+  // the definition).
   std::optional<std::string> Get(std::string_view key) const;
 
   // Merged scan over committed state + this transaction's writes.
@@ -154,8 +160,16 @@ class RWTxn {
   LocalStore* store_ = nullptr;
   uint64_t base_version_ = 0;
   std::vector<Op> ops_;
+  using WriteIndex = std::map<std::string, size_t, std::less<>>;
   // Latest op index per key, for read-your-writes.
-  std::map<std::string, size_t, std::less<>> write_index_;
+  WriteIndex write_index_;
+  // Where the last Get searched write_index_: the key's entry, or where it
+  // would be inserted. An app op reads a key and then writes it, so
+  // RecordWrite passes this as the hint and skips a second search (a wrong
+  // hint costs only the search it would have done anyway). Reset to end()
+  // whenever entries are erased or the index moves, so it always points
+  // into the current write_index_.
+  mutable WriteIndex::const_iterator index_hint_ = write_index_.end();
   // prev_index_[i]: the write_index_ entry op i displaced for its key (or
   // nullopt if the key was fresh). Lets RollbackTo undo the index in
   // O(rolled-back ops) instead of rebuilding it from the whole batch — the
@@ -254,13 +268,15 @@ class LocalStore {
   };
   using Chain = std::vector<VersionedValue>;
 
-  void CommitBatch(std::vector<RWTxn::Op>& ops);
+  // Applies the transaction's staged writes as one new version, consuming
+  // its ops (their strings are moved into the store).
+  void CommitBatch(RWTxn& txn);
   void ReleaseWriter() { writer_active_.store(false, std::memory_order_release); }
   void RegisterSnapshot(uint64_t version);
   void UnregisterSnapshot(uint64_t version);
   uint64_t MinActiveSnapshotLocked() const;
   static std::optional<std::string> ValueAt(const Chain& chain, uint64_t version);
-  void CompactChainLocked(const std::string& key, Chain& chain, uint64_t min_active);
+  void CompactChainLocked(Chain& chain, uint64_t min_active);
   void LoadCheckpoint();
   void LoadCheckpointBytes(const std::string& bytes);
 

@@ -9,6 +9,7 @@
 #include "src/backup/restore.h"
 #include "src/core/cluster.h"
 #include "src/engines/stacks.h"
+#include "tests/quiesced_tail.h"
 
 namespace delos {
 namespace {
@@ -162,8 +163,15 @@ TEST(AcceptorChurnTest, CrashAndRecoveryDuringTraffic) {
   }
   TableClient reader(cluster.server(1).top());
   EXPECT_EQ(reader.Scan("kv", std::nullopt, std::nullopt).size(), 20u);
-  cluster.server(0).top()->Sync().Get();
-  EXPECT_EQ(cluster.server(0).store()->Checksum(), cluster.server(1).store()->Checksum());
+  // Both servers' ViewTracking heartbeats keep appending, so the stores are
+  // compared at one quiesced tail rather than after two separate syncs.
+  uint64_t checksum0 = 0, checksum1 = 0;
+  ReadAtQuiescedTail(*cluster.server(0).log(), {cluster.server(0).base(), cluster.server(1).base()},
+                     [&] {
+                       checksum0 = cluster.server(0).store()->Checksum();
+                       checksum1 = cluster.server(1).store()->Checksum();
+                     });
+  EXPECT_EQ(checksum0, checksum1);
 }
 
 // End-to-end trim: every party with an opinion participates — ViewTracking

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <thread>
 
+#include "src/common/checksum.h"
 #include "src/common/random.h"
 #include "src/localstore/localstore.h"
 
@@ -383,13 +384,22 @@ TEST(LocalStoreTest, InjectedCommitFaultThrows) {
   EXPECT_TRUE(store.Snapshot().Get("k").has_value());
 }
 
+// The writer reads committed state through RWTxn::Get without the store's
+// lock (the single-writer contract); under TSan this checks that those reads
+// do not race with readers taking snapshots and scanning.
 TEST(LocalStoreTest, ConcurrentReadersDuringWrites) {
   LocalStore store;
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     for (int i = 0; i < 500; ++i) {
       RWTxn txn = store.BeginRW();
-      txn.Put("k" + std::to_string(i % 10), std::to_string(i));
+      const std::string key = "k" + std::to_string(i % 10);
+      if (i >= 10) {
+        // Committed ten transactions ago, and not yet staged in this one.
+        EXPECT_EQ(txn.Get(key), std::make_optional(std::to_string(i - 10)));
+      }
+      EXPECT_EQ(txn.Get("absent"), std::nullopt);
+      txn.Put(key, std::to_string(i));
       txn.Commit();
     }
     stop = true;
@@ -410,40 +420,141 @@ TEST(LocalStoreTest, ConcurrentReadersDuringWrites) {
   EXPECT_EQ(store.committed_version(), 500u);
 }
 
-// Property: a random interleaving of writes with savepoint rollbacks matches
-// a model map.
+// A snapshot taken while commits overwrite a key must read the key at its
+// version. Snapshot() used to read the committed version and register it
+// in two steps; a commit in between compacted that version away, and the
+// snapshot read a live key as absent (dozens of times per 100,000 commits).
+TEST(LocalStoreTest, SnapshotTakenDuringCommitsSeesLiveKey) {
+  LocalStore store;
+  {
+    RWTxn txn = store.BeginRW();
+    txn.Put("k", "0");
+    txn.Commit();
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> misses{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        if (!store.Snapshot().Get("k").has_value()) {
+          misses.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int i = 1; i <= 50'000; ++i) {
+    RWTxn txn = store.BeginRW();
+    txn.Put("k", std::to_string(i));
+    txn.Commit();
+  }
+  stop = true;
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  EXPECT_EQ(misses.load(), 0);
+}
+
+// Property: random transactions that rewrite and delete the same keys many
+// times, delete absent keys and roll back to random savepoints, committed
+// while older snapshots stay open, match a model map. After each commit the
+// store's checksum and key count match the model's, and every held snapshot
+// still reads exactly the state of its own version; before each commit the
+// transaction's EffectiveDigest matches the model's digest.
 TEST(LocalStoreProperty, RandomOpsMatchModel) {
+  using Model = std::map<std::string, std::string>;
+  const auto digest_of = [](const Model& model, const std::string& excluded = "") {
+    IncrementalChecksum checksum;
+    for (const auto& [key, value] : model) {
+      if (key != excluded) {
+        checksum.Add(key, value);
+      }
+    }
+    return checksum.digest();
+  };
+  // Keys k0..k5 are rewritten many times per transaction; x0..x2 are only
+  // ever deleted, so every delete of them is a delete of an absent key.
+  std::vector<std::string> universe;
+  for (int k = 0; k < 6; ++k) {
+    universe.push_back("k" + std::to_string(k));
+  }
+  for (int x = 0; x < 3; ++x) {
+    universe.push_back("x" + std::to_string(x));
+  }
+  const auto check_snapshot = [&](const ROTxn& snap, const Model& expected) {
+    for (const std::string& key : universe) {
+      auto it = expected.find(key);
+      const auto got = snap.Get(key);
+      if (it == expected.end()) {
+        EXPECT_FALSE(got.has_value()) << key << " at version " << snap.version();
+      } else {
+        EXPECT_EQ(got, std::make_optional(it->second)) << key << " at version " << snap.version();
+      }
+    }
+    const auto scanned = snap.ScanPrefix("");
+    EXPECT_EQ(Model(scanned.begin(), scanned.end()), expected) << "version " << snap.version();
+  };
+
   Rng rng(2024);
   LocalStore store;
-  std::map<std::string, std::string> model;
-  for (int round = 0; round < 200; ++round) {
+  Model model;
+  std::vector<std::pair<ROTxn, Model>> held;
+  for (int round = 0; round < 400; ++round) {
     RWTxn txn = store.BeginRW();
-    std::map<std::string, std::string> txn_model = model;
-    const int ops = static_cast<int>(rng.Uniform(1, 6));
+    Model txn_model = model;
+    std::vector<std::pair<Savepoint, Model>> savepoints;
+    const int ops = static_cast<int>(rng.Uniform(1, 16));
     for (int i = 0; i < ops; ++i) {
-      const std::string key = "k" + std::to_string(rng.Uniform(0, 15));
-      if (rng.Bernoulli(0.3)) {
+      const double dice = rng.UniformDouble();
+      if (dice < 0.12) {
+        savepoints.emplace_back(txn.MakeSavepoint(), txn_model);
+      } else if (dice < 0.24 && !savepoints.empty()) {
+        // Roll back to a random open savepoint; the ones after it are gone.
+        const size_t to = static_cast<size_t>(rng.Uniform(0, savepoints.size() - 1));
+        txn.RollbackTo(savepoints[to].first);
+        txn_model = savepoints[to].second;
+        savepoints.resize(to + 1);
+      } else if (dice < 0.32) {
+        const std::string key = "x" + std::to_string(rng.Uniform(0, 2));
+        txn.Delete(key);
+      } else if (dice < 0.5) {
+        const std::string key = "k" + std::to_string(rng.Uniform(0, 5));
         txn.Delete(key);
         txn_model.erase(key);
       } else {
+        const std::string key = "k" + std::to_string(rng.Uniform(0, 5));
         const std::string value = rng.String(8);
         txn.Put(key, value);
         txn_model[key] = value;
       }
+      const std::string probe = universe[static_cast<size_t>(rng.Uniform(0, universe.size() - 1))];
+      auto it = txn_model.find(probe);
+      EXPECT_EQ(txn.Get(probe),
+                it == txn_model.end() ? std::nullopt : std::make_optional(it->second));
     }
+    EXPECT_EQ(txn.EffectiveDigest({}), digest_of(txn_model)) << "round " << round;
+    EXPECT_EQ(txn.EffectiveDigest({"k0"}), digest_of(txn_model, "k0")) << "round " << round;
     if (rng.Bernoulli(0.2)) {
       txn.Abort();
     } else {
       txn.Commit();
       model = std::move(txn_model);
     }
+    EXPECT_EQ(store.Checksum(), digest_of(model)) << "round " << round;
+    EXPECT_EQ(store.KeyCount(), model.size()) << "round " << round;
+    for (const auto& [snap, expected] : held) {
+      check_snapshot(snap, expected);
+    }
+    // Hold up to four snapshots across later commits, dropping them at
+    // random so the oldest live version moves.
+    if (!held.empty() && rng.Bernoulli(0.3)) {
+      held.erase(held.begin() + rng.Uniform(0, held.size() - 1));
+    }
+    if (held.size() < 4 && rng.Bernoulli(0.4)) {
+      held.emplace_back(store.Snapshot(), model);
+    }
   }
-  ROTxn snap = store.Snapshot();
-  std::map<std::string, std::string> actual;
-  for (const auto& [key, value] : snap.ScanPrefix("")) {
-    actual[key] = value;
-  }
-  EXPECT_EQ(actual, model);
+  check_snapshot(store.Snapshot(), model);
 }
 
 TEST(KeyspaceTest, PrefixesKeys) {

@@ -10,6 +10,7 @@
 #include "src/engines/session_order_engine.h"
 #include "src/sharedlog/chaos_log.h"
 #include "src/sharedlog/inmemory_log.h"
+#include "tests/quiesced_tail.h"
 
 namespace delos {
 namespace {
@@ -112,10 +113,18 @@ TEST(SessionOrderTest, ReplicasConvergeUnderReordering) {
   for (auto& future : futures) {
     future.Get();
   }
-  writer.base->Sync().Get();
-  follower.base->Sync().Get();
-  EXPECT_EQ(writer.app.order(), follower.app.order());
-  EXPECT_EQ(writer.store.Checksum(), follower.store.Checksum());
+  // Delayed re-proposals can still land after every future settled, so the
+  // two replicas are compared at one quiesced tail.
+  std::vector<std::string> writer_order, follower_order;
+  uint64_t writer_checksum = 0, follower_checksum = 0;
+  ReadAtQuiescedTail(*inner, {writer.base.get(), follower.base.get()}, [&] {
+    writer_order = writer.app.order();
+    follower_order = follower.app.order();
+    writer_checksum = writer.store.Checksum();
+    follower_checksum = follower.store.Checksum();
+  });
+  EXPECT_EQ(writer_order, follower_order);
+  EXPECT_EQ(writer_checksum, follower_checksum);
 }
 
 TEST(SessionOrderTest, MultiThreadedProposersKeepPerSessionOrder) {

@@ -35,7 +35,7 @@ class BlockingEngine : public StackableEngine {
     return CallUpstream(txn, entry, pos);
   }
 
-  std::any ApplyControl(RWTxn& txn, const EngineHeader& header, const LogEntry& entry,
+  std::any ApplyControl(RWTxn& txn, const EngineHeaderView& header, const LogEntry& entry,
                         LogPos pos) override {
     if (header.msgtype == kMsgTypeToggle) {
       const std::string key = space().Key("blocked");
