@@ -26,28 +26,6 @@ void WriteStat(Serializer& ser, const Stat& stat) {
   ser.WriteVarint(stat.ephemeral_owner);
 }
 
-// Encoded size of WriteStat's output.
-size_t StatSize(const Stat& stat) {
-  const auto zigzag = [](int64_t v) {
-    return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-  };
-  return Serializer::VarintSize(stat.czxid) + Serializer::VarintSize(stat.mzxid) +
-         Serializer::VarintSize(zigzag(stat.version)) +
-         Serializer::VarintSize(zigzag(stat.cversion)) +
-         Serializer::VarintSize(stat.ephemeral_owner);
-}
-
-// The node record layout: data, stat, sequential-child counter. The buffer
-// is sized exactly, so it is allocated once and never grows.
-std::string EncodeNode(std::string_view data, const Stat& stat, uint64_t seq_counter) {
-  Serializer ser(Serializer::StringSize(data) + StatSize(stat) +
-                 Serializer::VarintSize(seq_counter));
-  ser.WriteString(data);
-  WriteStat(ser, stat);
-  ser.WriteVarint(seq_counter);
-  return ser.Release();
-}
-
 Stat ReadStat(Deserializer& de) {
   Stat stat;
   stat.czxid = de.ReadVarint();
@@ -56,6 +34,33 @@ Stat ReadStat(Deserializer& de) {
   stat.cversion = de.ReadSigned();
   stat.ephemeral_owner = de.ReadVarint();
   return stat;
+}
+
+// The node record layout: data, stat, sequential-child counter. Parsed, the
+// data is a view into the record's bytes.
+struct NodeView {
+  std::string_view data;
+  Stat stat;
+  uint64_t seq_counter = 0;
+};
+
+NodeView ParseNode(std::string_view bytes) {
+  Deserializer de(bytes);
+  NodeView node;
+  node.data = de.ReadStringView();
+  node.stat = ReadStat(de);
+  node.seq_counter = de.ReadVarint();
+  return node;
+}
+
+std::string EncodeNode(std::string_view data, const Stat& stat, uint64_t seq_counter) {
+  // The five stat varints and the counter take at most 10 bytes each, so the
+  // buffer is allocated once and never grows.
+  Serializer ser(Serializer::StringSize(data) + 6 * 10);
+  ser.WriteString(data);
+  WriteStat(ser, stat);
+  ser.WriteVarint(seq_counter);
+  return ser.Release();
 }
 
 }  // namespace
@@ -128,12 +133,8 @@ std::string ZelosApplicator::NodeRecord::Encode() const {
 }
 
 ZelosApplicator::NodeRecord ZelosApplicator::NodeRecord::Decode(std::string_view bytes) {
-  Deserializer de(bytes);
-  NodeRecord record;
-  record.data = de.ReadString();
-  record.stat = ReadStat(de);
-  record.seq_counter = de.ReadVarint();
-  return record;
+  const NodeView node = ParseNode(bytes);
+  return NodeRecord{std::string(node.data), node.stat, node.seq_counter};
 }
 
 // --- applicator internals ---
@@ -257,20 +258,17 @@ int64_t ZelosApplicator::DoSetData(RWTxn& txn, LogPos pos, const std::string& pa
   if (!bytes.has_value()) {
     throw NoNodeError(path);
   }
-  // Only the stat and the counter survive a SetData: read past the old data
-  // without copying it, then encode the record afresh around the new data.
-  Deserializer de(*bytes);
-  de.ReadStringView();
-  Stat stat = ReadStat(de);
-  const uint64_t seq_counter = de.ReadVarint();
-  if (expected_version >= 0 && stat.version != expected_version) {
+  // Only the stat and the counter survive a SetData: the old data is not
+  // copied, and the record is encoded afresh around the new data.
+  NodeView node = ParseNode(*bytes);
+  if (expected_version >= 0 && node.stat.version != expected_version) {
     throw BadVersionError(path);
   }
-  stat.version += 1;
-  stat.mzxid = pos;
-  txn.PutOwned(std::move(key), EncodeNode(data, stat, seq_counter));
+  node.stat.version += 1;
+  node.stat.mzxid = pos;
+  txn.PutOwned(std::move(key), EncodeNode(data, node.stat, node.seq_counter));
   pending_events_.push_back({WatchEvent::Type::kDataChanged, path});
-  return stat.version;
+  return node.stat.version;
 }
 
 void ZelosApplicator::set_metrics(MetricsRegistry* metrics) {

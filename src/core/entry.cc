@@ -34,35 +34,7 @@ size_t LogEntry::SerializedSize() const {
 }
 
 LogEntry LogEntry::Deserialize(std::string_view bytes) {
-  LogEntry entry;
-  DeserializeInto(bytes, &entry);
-  return entry;
-}
-
-void LogEntry::DeserializeInto(std::string_view bytes, LogEntry* entry) {
-  // Parses straight into the owning map (a LogEntryView first would build a
-  // second, borrowed map). Header nodes are reused in place while the names
-  // match the entry's existing ones in order (entries of one stream carry
-  // the same header set); from the first mismatch on, the stale headers are
-  // dropped and the rest inserted. Like Parse, the first of duplicate names
-  // wins.
-  Deserializer de(bytes);
-  const uint64_t count = de.ReadVarint();
-  auto stale = entry->headers.begin();
-  for (uint64_t i = 0; i < count; ++i) {
-    const std::string_view name = de.ReadStringView();
-    const std::string_view value = de.ReadStringView();
-    if (stale != entry->headers.end() && stale->first == name) {
-      stale->second.assign(value);
-      ++stale;
-      continue;
-    }
-    entry->headers.erase(stale, entry->headers.end());
-    stale = entry->headers.end();
-    entry->headers.emplace(name, value);
-  }
-  entry->headers.erase(stale, entry->headers.end());
-  entry->payload.assign(de.ReadStringView());
+  return LogEntryView::Parse(bytes).Materialize();
 }
 
 void LogEntry::SetHeader(const std::string& engine, const EngineHeader& header) {

@@ -48,10 +48,6 @@ struct LogEntry {
   // Exact encoded size of Serialize()'s output (used to right-size buffers).
   size_t SerializedSize() const;
   static LogEntry Deserialize(std::string_view bytes);
-  // Deserialize into an existing entry, reusing its header nodes and string
-  // capacity where it can (a decode loop over recycled entries allocates
-  // next to nothing). On a SerdeError the entry is left partly overwritten.
-  static void DeserializeInto(std::string_view bytes, LogEntry* entry);
 
   void SetHeader(const std::string& engine, const EngineHeader& header);
   std::optional<EngineHeader> GetHeader(std::string_view engine) const;

@@ -19,20 +19,18 @@ std::string EncodeBatch(const std::vector<LogEntry>& entries) {
   return ser.Release();
 }
 
-// Decodes a batch blob into `entries`, reusing the LogEntry objects already
-// there (see BatchingEngine::spare_batches_). The claimed count is not
-// trusted for sizing: the vector grows one decoded entry at a time.
-void DecodeBatch(std::string_view blob, std::vector<LogEntry>* entries) {
+// Sub-entries are read as views into the blob and materialized once each.
+// The claimed count sizes the vector only up to the blob's length (every
+// sub-entry takes at least one byte).
+std::vector<LogEntry> DecodeBatch(std::string_view blob) {
   Deserializer de(blob);
   const uint64_t count = de.ReadVarint();
-  size_t decoded = 0;
-  for (; decoded < count; ++decoded) {
-    if (decoded == entries->size()) {
-      entries->emplace_back();
-    }
-    LogEntry::DeserializeInto(de.ReadStringView(), &(*entries)[decoded]);
+  std::vector<LogEntry> entries;
+  entries.reserve(std::min<uint64_t>(count, blob.size()));
+  for (uint64_t i = 0; i < count; ++i) {
+    entries.push_back(LogEntry::Deserialize(de.ReadStringView()));
   }
-  entries->resize(decoded);
+  return entries;
 }
 
 }  // namespace
@@ -238,12 +236,7 @@ std::any BatchingEngine::ApplyControl(RWTxn& txn, const EngineHeaderView& header
   // Group commit: every sub-entry applies within this one transaction. The
   // sub-entries whose upstream apply ran (the ones owed a postApply) are
   // compacted to the front and parked for PostApplyControl.
-  std::vector<LogEntry> entries;
-  if (!spare_batches_.empty()) {
-    entries = std::move(spare_batches_.back());
-    spare_batches_.pop_back();
-  }
-  DecodeBatch(header.blob, &entries);
+  std::vector<LogEntry> entries = DecodeBatch(header.blob);
   std::vector<std::any> results;
   results.reserve(entries.size());
   size_t applied = 0;
@@ -270,13 +263,8 @@ void BatchingEngine::PostApplyControl(const EngineHeaderView& header, const LogE
   if (!applied.has_value() || upstream() == nullptr) {
     return;
   }
-  size_t retained_bytes = 0;
   for (const LogEntry& sub : *applied) {
     upstream()->PostApply(sub, pos);
-    retained_bytes += sub.payload.capacity();
-  }
-  if (spare_batches_.size() < kMaxSpareBatches && retained_bytes <= kMaxSpareBatchBytes) {
-    spare_batches_.push_back(std::move(*applied));
   }
 }
 

@@ -88,14 +88,6 @@ class BatchingEngine : public StackableEngine {
   // of an applied batch whose upstream apply ran (they are owed a
   // postApply).
   ApplyCarry<std::vector<LogEntry>> applying_carry_;
-  // Decoded batches whose postApply is done, kept so the next batches decode
-  // into their entries instead of allocating every header node and payload
-  // afresh (a replayed batch record carries up to 64 sub-entries). Bounded
-  // by count (one default group-commit batch of records) and by the payload
-  // bytes each one retains. Apply thread only.
-  static constexpr size_t kMaxSpareBatches = 128;
-  static constexpr size_t kMaxSpareBatchBytes = 64 * 1024;
-  std::vector<std::vector<LogEntry>> spare_batches_;
 };
 
 }  // namespace delos

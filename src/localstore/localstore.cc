@@ -92,8 +92,6 @@ RWTxn& RWTxn::operator=(RWTxn&& other) noexcept {
     base_version_ = other.base_version_;
     ops_ = std::move(other.ops_);
     write_index_ = std::move(other.write_index_);
-    index_hint_ = write_index_.end();
-    other.index_hint_ = other.write_index_.end();
     prev_index_ = std::move(other.prev_index_);
     digest_cache_ = other.digest_cache_;
     digest_cached_ops_ = other.digest_cached_ops_;
@@ -131,17 +129,14 @@ void RWTxn::Delete(std::string_view key) {
 
 void RWTxn::RecordWrite() {
   const size_t index = ops_.size() - 1;
-  const size_t keys_before = write_index_.size();
-  auto it = write_index_.try_emplace(index_hint_, ops_[index].key, index);
-  const bool inserted = write_index_.size() != keys_before;
+  auto [it, inserted] = write_index_.try_emplace(ops_[index].key, index);
   prev_index_.push_back(inserted ? std::nullopt : std::make_optional(it->second));
   it->second = index;
 }
 
 std::optional<std::string> RWTxn::Get(std::string_view key) const {
-  auto it = write_index_.lower_bound(key);
-  index_hint_ = it;
-  if (it != write_index_.end() && it->first == key) {
+  auto it = write_index_.find(key);
+  if (it != write_index_.end()) {
     return ops_[it->second].value;
   }
   // Committed state is read without data_mu_. BeginRW's CAS on
@@ -306,7 +301,6 @@ void RWTxn::RollbackTo(const Savepoint& savepoint) {
       write_index_.erase(ops_[i].key);
     }
   }
-  index_hint_ = write_index_.end();
   ops_.resize(savepoint.op_count);
   prev_index_.resize(savepoint.op_count);
   // Ops already folded into the digest cache were discarded: drop the cache

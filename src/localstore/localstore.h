@@ -160,16 +160,8 @@ class RWTxn {
   LocalStore* store_ = nullptr;
   uint64_t base_version_ = 0;
   std::vector<Op> ops_;
-  using WriteIndex = std::map<std::string, size_t, std::less<>>;
   // Latest op index per key, for read-your-writes.
-  WriteIndex write_index_;
-  // Where the last Get searched write_index_: the key's entry, or where it
-  // would be inserted. An app op reads a key and then writes it, so
-  // RecordWrite passes this as the hint and skips a second search (a wrong
-  // hint costs only the search it would have done anyway). Reset to end()
-  // whenever entries are erased or the index moves, so it always points
-  // into the current write_index_.
-  mutable WriteIndex::const_iterator index_hint_ = write_index_.end();
+  std::map<std::string, size_t, std::less<>> write_index_;
   // prev_index_[i]: the write_index_ entry op i displaced for its key (or
   // nullopt if the key was fresh). Lets RollbackTo undo the index in
   // O(rolled-back ops) instead of rebuilding it from the whole batch — the

@@ -660,50 +660,5 @@ TEST(LogEntryFuzzTest, MutatedEntriesEitherParseOrThrowSerdeError) {
   EXPECT_GT(rejected, 100);
 }
 
-// DeserializeInto over one reused entry decodes every entry exactly as a
-// fresh Deserialize (and the borrowed parse) does, whatever header set the
-// entry held before: same, fewer, more or other names, and hand-encoded
-// entries with unsorted or duplicate names.
-TEST(LogEntryTest, DeserializeIntoReusedEntryMatchesFreshDecode) {
-  Rng rng(20261020);
-  const std::vector<std::string> names = {"base", "batching", "client", "trace", "zz"};
-  std::vector<std::string> encodings;
-  for (int i = 0; i < 200; ++i) {
-    LogEntry entry;
-    entry.payload = rng.String(static_cast<size_t>(rng.Uniform(0, 300)));
-    for (const std::string& name : names) {
-      if (rng.Bernoulli(0.5)) {
-        entry.SetHeader(name, EngineHeader{kMsgTypeApp, rng.String(rng.Uniform(0, 40))});
-      }
-    }
-    encodings.push_back(entry.Serialize());
-  }
-  for (const auto& raw : std::vector<std::vector<std::pair<std::string, std::string>>>{
-           {{"trace", "t"}, {"base", "b"}},
-           {{"client", "first"}, {"client", "second"}},
-           {{"base", "x"}, {"zz", "y"}, {"base", "z"}}}) {
-    Serializer ser;
-    ser.WriteVarint(raw.size());
-    for (const auto& [name, value] : raw) {
-      ser.WriteString(name);
-      ser.WriteString(value);
-    }
-    ser.WriteString("payload");
-    encodings.push_back(ser.Release());
-  }
-  LogEntry reused;
-  // 11 is coprime with the 203 encodings, so the walk visits each of them
-  // twice, in an order unrelated to how they were generated.
-  for (size_t i = 0; i < 2 * encodings.size(); ++i) {
-    const size_t index = (i * 11) % encodings.size();
-    const std::string& bytes = encodings[index];
-    LogEntry::DeserializeInto(bytes, &reused);
-    const LogEntry fresh = LogEntryView::Parse(bytes).Materialize();
-    EXPECT_EQ(reused.headers, fresh.headers) << "encoding " << index;
-    EXPECT_EQ(reused.payload, fresh.payload);
-    EXPECT_EQ(LogEntry::Deserialize(bytes).headers, fresh.headers);
-  }
-}
-
 }  // namespace
 }  // namespace delos
